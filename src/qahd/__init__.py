@@ -12,6 +12,7 @@ from .errors import (
     DimensionError,
     DimensionUnsupportedError,
     EvalOverflowError,
+    ExpansionLimitError,
     ExprSyntaxError,
     InsufficientSamplesError,
     IntegrabilityError,

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
+# JSON string escapes: backslash, quote and every control character below 0x20.
+_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f\\"]')
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
+                 ord("\r"): "\\r", ord("\t"): "\\t", ord("\b"): "\\b", ord("\f"): "\\f"})
+
 
 def _fmt_float(v: float) -> str:
     if v != v or v in (float("inf"), float("-inf")):
@@ -27,7 +35,9 @@ def _write(obj, out, indent, level):
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        if _NEEDS_ESCAPE.search(obj):
+            obj = obj.translate(_ESCAPES)
+        out.append('"' + obj + '"')
     elif isinstance(obj, dict):
         _container(obj.items(), out, indent, level, "{}", key=True)
     elif isinstance(obj, (list, tuple)):

@@ -16,6 +16,7 @@ from .errors import (
     AliasRiskError,
     DimensionError,
     DimensionUnsupportedError,
+    ExpansionLimitError,
     ExprSyntaxError,
     InsufficientSamplesError,
     IntegrabilityError,
@@ -37,6 +38,7 @@ INPUT_ERRORS = (
     DimensionError,
     NonLiteralExponentError,
     NotInClassError,
+    ExpansionLimitError,
     ZeroInputError,
     NonPositiveScaleError,
     OriginError,
@@ -378,23 +380,19 @@ def run(argv=None) -> int:
     try:
         return args.fn(args)
     except NUMERIC_ERRORS as exc:
-        sys.stdout.write(
-            _json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2)
-            + "\n"
-        )
-        return 3
+        return _fail(exc, 3)
     except INPUT_ERRORS as exc:
-        sys.stdout.write(
-            _json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2)
-            + "\n"
-        )
-        return 2
+        return _fail(exc, 2)
     except QahdError as exc:
-        sys.stdout.write(
-            _json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2)
-            + "\n"
-        )
-        return 3
+        return _fail(exc, 3)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    """Write the JSON error envelope and return the exit code."""
+    sys.stdout.write(
+        _json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2) + "\n"
+    )
+    return code
 
 
 def main() -> None:

@@ -34,6 +34,10 @@ class NotInClassError(QahdError):
     """Expression cannot be rewritten into the canonical log-power class."""
 
 
+class ExpansionLimitError(QahdError):
+    """Expansion into monomials exceeds the term or degree budget."""
+
+
 class NonPositiveScaleError(QahdError):
     """Dilation scale must be positive."""
 

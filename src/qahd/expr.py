@@ -416,17 +416,20 @@ def _eval(e, x, r, ln_r) -> complex:
         return acc
     if isinstance(e, Power):
         c = e.exponent
-        if isinstance(e.base, Radius):
-            return cmath.exp(c * ln_r)
-        b = _eval(e.base, x, r, ln_r)
-        if c.imag == 0 and c.real == int(c.real):
-            m = int(c.real)
-            if b == 0 and m < 0:
-                raise EvalOverflowError("zero base with negative exponent")
-            return b ** m
-        if b == 0:
-            return complex(0)
-        return cmath.exp(c * cmath.log(b))
+        try:
+            if isinstance(e.base, Radius):
+                return cmath.exp(c * ln_r)
+            b = _eval(e.base, x, r, ln_r)
+            if c.imag == 0 and c.real == int(c.real):
+                m = int(c.real)
+                if b == 0 and m < 0:
+                    raise EvalOverflowError("zero base with negative exponent")
+                return b ** m
+            if b == 0:
+                return complex(0)
+            return cmath.exp(c * cmath.log(b))
+        except OverflowError:
+            raise EvalOverflowError("evaluation overflowed the floating-point range") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -10,20 +10,27 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import Dict, Iterable, Tuple
 
 from . import expr as ex
 from .errors import (
+    ExpansionLimitError,
     NotInClassError,
     OriginError,
     UndefinedDegreeError,
-    ZeroInputError,
 )
 
 COEFF_ZERO_THRESHOLD = 1e-12
 DEGREE_TOLERANCE = 1e-10
+# Expansion budget (ExpansionLimitError): the operand sizes multiplied in one
+# product, and |alpha| or the log power of one expanded monomial.  Past these,
+# expansion or syzygy reduction would exhaust time or memory.
+MAX_PRODUCT_TERMS = 100_000
+MAX_MONOMIAL_DEGREE = 200
 
 Alpha = Tuple[int, ...]
+Monomials = Dict[Tuple[Alpha, complex, int], complex]
 
 
 class AngularPart:
@@ -69,21 +76,27 @@ class AngularPart:
         return max((abs(c) for c in self.atoms.values()), default=0.0)
 
     def reduced(self) -> "AngularPart":
-        """Normal form modulo x1^2/r^2 -> 1 - sum_{i>=2} x_i^2/r^2."""
-        work = dict(self.atoms)
-        out: Dict[Alpha, complex] = {}
-        while work:
-            alpha, c = work.popitem()
-            if abs(c) == 0.0:
+        """Normal form modulo x1^2/r^2 -> 1 - sum_{i>=2} x_i^2/r^2.
+
+        Atoms are bucketed by alpha_1; each level from the highest down to 2
+        is rewritten once into the level two below it.
+        """
+        levels: Dict[int, Dict[Alpha, complex]] = {}
+        for alpha, c in self.atoms.items():
+            levels.setdefault(alpha[0], {})[alpha] = c
+        for level in range(max(levels, default=0), 1, -1):
+            bucket = levels.pop(level, None)
+            if not bucket:
                 continue
-            if alpha[0] >= 2:
-                base = (alpha[0] - 2,) + alpha[1:]
-                work[base] = work.get(base, complex(0)) + c
+            below = levels.setdefault(level - 2, {})
+            for alpha, c in bucket.items():
+                base = (level - 2,) + alpha[1:]
+                below[base] = below.get(base, complex(0)) + c
                 for i in range(1, self.n):
                     up = base[:i] + (base[i] + 2,) + base[i + 1:]
-                    work[up] = work.get(up, complex(0)) - c
-            else:
-                out[alpha] = out.get(alpha, complex(0)) + c
+                    below[up] = below.get(up, complex(0)) - c
+        out = levels.get(0, {})
+        out.update(levels.get(1, {}))
         return AngularPart(self.n, out)
 
     def eval_direction(self, omega) -> complex:
@@ -301,42 +314,51 @@ def _as_int(c: complex, what: str) -> int:
     return int(round(c.real))
 
 
-def _mono_mul(m1, m2):
-    c1, a1, mu1, j1 = m1
-    c2, a2, mu2, j2 = m2
-    return (c1 * c2, tuple(x + y for x, y in zip(a1, a2)), mu1 + mu2, j1 + j2)
+def _mul(p: Monomials, q: Monomials) -> Monomials:
+    """Product of two monomial tables, like terms collected."""
+    if len(p) * len(q) > MAX_PRODUCT_TERMS:
+        raise ExpansionLimitError(
+            f"product of {len(p)} by {len(q)} monomials exceeds the limit "
+            f"{MAX_PRODUCT_TERMS}"
+        )
+    out: Monomials = {}
+    for (a1, mu1, j1), c1 in p.items():
+        for (a2, mu2, j2), c2 in q.items():
+            key = (tuple(map(operator.add, a1, a2)), mu1 + mu2, j1 + j2)
+            out[key] = out.get(key, complex(0)) + c1 * c2
+    return out
 
 
-def _expand(e, n):
-    """Expression -> list of monomials (coef, alpha, r-power mu, log-power j)."""
+def _expand(e, n) -> Monomials:
+    """Expression -> monomials {(alpha, r-power mu, log-power j): coef}."""
     zero_alpha = (0,) * n
     if isinstance(e, ex.Constant):
-        return [(e.value, zero_alpha, complex(0), 0)]
+        return {(zero_alpha, complex(0), 0): e.value}
     if isinstance(e, ex.Variable):
         alpha = tuple(1 if i == e.index - 1 else 0 for i in range(n))
-        return [(complex(1), alpha, complex(0), 0)]
+        return {(alpha, complex(0), 0): complex(1)}
     if isinstance(e, ex.Radius):
-        return [(complex(1), zero_alpha, complex(1), 0)]
+        return {(zero_alpha, complex(1), 0): complex(1)}
     if isinstance(e, ex.LogRadius):
-        return [(complex(1), zero_alpha, complex(0), 1)]
+        return {(zero_alpha, complex(0), 1): complex(1)}
     if isinstance(e, ex.Negate):
-        return [(-c, a, mu, j) for c, a, mu, j in _expand(e.child, n)]
+        return {key: -c for key, c in _expand(e.child, n).items()}
     if isinstance(e, ex.Sum):
-        out = []
+        out: Monomials = {}
         for t in e.terms:
-            out.extend(_expand(t, n))
+            for key, c in _expand(t, n).items():
+                out[key] = out.get(key, complex(0)) + c
         return out
     if isinstance(e, ex.Product):
-        acc = [(complex(1), zero_alpha, complex(0), 0)]
-        for f in e.factors:
-            rhs = _expand(f, n)
-            acc = [_mono_mul(m1, m2) for m1 in acc for m2 in rhs]
+        acc = _expand(e.factors[0], n)
+        for f in e.factors[1:]:
+            acc = _mul(acc, _expand(f, n))
         return acc
     if isinstance(e, ex.Power):
         c = e.exponent
         base = e.base
         if isinstance(base, ex.Radius):
-            return [(complex(1), zero_alpha, c, 0)]
+            return {(zero_alpha, c, 0): complex(1)}
         if isinstance(base, ex.Variable):
             m = _as_int(c, "a variable power")
             if m < 0:
@@ -344,28 +366,33 @@ def _expand(e, n):
                     f"negative variable power x{base.index}^{m} is outside the class"
                 )
             alpha = tuple(m if i == base.index - 1 else 0 for i in range(n))
-            return [(complex(1), alpha, complex(0), 0)]
+            return {(alpha, complex(0), 0): complex(1)}
         if isinstance(base, ex.LogRadius):
             m = _as_int(c, "a log power")
             if m < 0:
                 raise NotInClassError("negative log power is outside the class")
-            return [(complex(1), zero_alpha, complex(0), m)]
+            return {(zero_alpha, complex(0), m): complex(1)}
         if isinstance(base, ex.Constant):
             if c.imag == 0 and c.real == int(c.real):
                 m = int(c.real)
                 if base.value == 0 and m < 0:
                     raise NotInClassError("zero base with negative exponent")
-                return [(base.value ** m, zero_alpha, complex(0), 0)]
+                return {(zero_alpha, complex(0), 0): base.value ** m}
             if base.value == 0:
-                return []
-            return [(cmath.exp(c * cmath.log(base.value)), zero_alpha, complex(0), 0)]
+                return {}
+            return {(zero_alpha, complex(0), 0): cmath.exp(c * cmath.log(base.value))}
         m = _as_int(c, "a compound-base power")
         if m < 0:
             raise NotInClassError("negative power of a compound base")
-        acc = [(complex(1), zero_alpha, complex(0), 0)]
-        inner = _expand(base, n)
-        for _ in range(m):
-            acc = [_mono_mul(m1, m2) for m1 in acc for m2 in inner]
+        # square-and-multiply
+        acc = {(zero_alpha, complex(0), 0): complex(1)}
+        square = _expand(base, n)
+        while m:
+            if m & 1:
+                acc = _mul(acc, square)
+            m >>= 1
+            if m:
+                square = _mul(square, square)
         return acc
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -376,10 +403,17 @@ def canonicalize(e: ex.Expression, n: int) -> MultiForm:
     Each monomial x^alpha r^mu log^j r becomes atom(alpha) r^(mu+|alpha|)
     log^j r; terms are grouped by total degree, then by log power.
     """
-    monomials = _expand(e, n)
     groups = []  # (lam, {j: {alpha: coef}})
-    for c, alpha, mu, j in monomials:
-        lam = mu + sum(alpha)
+    for (alpha, mu, j), c in _expand(e, n).items():
+        weight = sum(alpha)
+        # a high-degree monomial costs nothing until syzygy reduction, so its
+        # check can wait until here, where |alpha| is computed anyway
+        if weight > MAX_MONOMIAL_DEGREE or j > MAX_MONOMIAL_DEGREE:
+            raise ExpansionLimitError(
+                f"monomial of variable degree {weight} and log power {j} exceeds "
+                f"the limit {MAX_MONOMIAL_DEGREE}"
+            )
+        lam = mu + weight
         for key, table in groups:
             if abs(lam - key) <= DEGREE_TOLERANCE:
                 tab = table
@@ -395,9 +429,3 @@ def canonicalize(e: ex.Expression, n: int) -> MultiForm:
         parts = [AngularPart(n, table.get(j, {})) for j in range(top + 1)]
         forms.append(LogForm.make(n, lam, parts))
     return MultiForm(n, forms)
-
-
-def require_nonzero(m: MultiForm) -> MultiForm:
-    if m.is_zero:
-        raise ZeroInputError("operation undefined on the zero form")
-    return m

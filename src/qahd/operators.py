@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NonPositiveScaleError, ZeroInputError
+from .errors import EvalOverflowError, NonPositiveScaleError, ZeroInputError
 from .logform import AngularPart, LogForm, MultiForm, eval_form
 
 DEFAULT_A_SAMPLES: Tuple[float, ...] = (0.5, 2.0 / 3.0, math.e, math.pi, 10.0)
@@ -27,7 +27,10 @@ DEGREE_MATCH_TOLERANCE = 1e-10
 
 def _scale_power(a: float, lam: complex) -> complex:
     """a^lam via exp(lam ln a); single valued for a > 0."""
-    return cmath.exp(lam * math.log(a))
+    try:
+        return cmath.exp(lam * math.log(a))
+    except OverflowError:
+        raise EvalOverflowError(f"{a}^{lam} overflowed the floating-point range") from None
 
 
 def dilate(form: LogForm, a: float) -> LogForm:

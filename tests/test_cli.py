@@ -59,6 +59,30 @@ def test_classify_dimension_error(capsys):
     assert payload["error"] == "DimensionError"
 
 
+def test_parse_control_characters_give_valid_json(capsys):
+    code, payload = invoke_json(capsys, "parse", "r\n+1\t")
+    assert code == 0
+    assert payload["input"] == "r\n+1\t"
+    assert payload["rendered"] == "r + 1"
+
+
+def test_expansion_limit_exit_code(capsys):
+    for argv in (("-n", "1", "(x1+r)^100000"), ("-n", "3", "x1^100000")):
+        code, payload = invoke_json(capsys, "classify", *argv)
+        assert code == 2
+        assert payload["error"] == "ExpansionLimitError"
+
+
+def test_overflow_exit_code(capsys):
+    for argv in (
+        ("apply", "r^300", "--op", "dilate=1e300"),
+        ("identify", "r^(1000)"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 3
+        assert payload["error"] == "EvalOverflowError"
+
+
 def test_classify_zero_input(capsys):
     code, payload = invoke_json(
         capsys, "classify", "-n", "2", "(x1^2+x2^2)*r^(-2)*log(r) - log(r)"

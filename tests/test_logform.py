@@ -1,11 +1,13 @@
 """Canonical form construction, evaluation, and syzygy-aware comparisons."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qahd.errors import NotInClassError, UndefinedDegreeError
+from qahd.errors import ExpansionLimitError, NotInClassError, UndefinedDegreeError
 from qahd.expr import parse
 from qahd.logform import (
     AngularPart,
@@ -178,3 +180,117 @@ def test_json_encoding_matches_contract():
             [{"alpha": [2, 0], "re": 1.0, "im": 0.0}],
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# Expansion with like-term collection and level-ordered syzygy reduction,
+# against uncollected references.
+
+
+def _naive_power_of_sum(n, c, s, p, k):
+    """c*(s1*x1+...+sn*xn+r)^p*(1+log(r))^k as a LogForm of degree p.
+
+    Every one of the (n+1)^p 2^k monomials is formed separately; like terms
+    meet only when the angular parts are built.
+    """
+    terms = [[] for _ in range(k + 1)]
+    for picks in itertools.product(range(n + 1), repeat=p):
+        alpha = [0] * n
+        coef = complex(c)
+        for i in picks:
+            if i < n:
+                alpha[i] += 1
+                coef *= s[i]
+        for logs in itertools.product((0, 1), repeat=k):
+            terms[sum(logs)].append((tuple(alpha), coef))
+    return LogForm.make(n, complex(p), [AngularPart.from_terms(n, t) for t in terms])
+
+
+def _lifo_reduced(h):
+    """Syzygy reduction by repeated rewriting of single atoms, in LIFO order."""
+    work = dict(h.atoms)
+    out = {}
+    while work:
+        alpha, c = work.popitem()
+        if abs(c) == 0.0:
+            continue
+        if alpha[0] >= 2:
+            base = (alpha[0] - 2,) + alpha[1:]
+            work[base] = work.get(base, complex(0)) + c
+            for i in range(1, h.n):
+                up = base[:i] + (base[i] + 2,) + base[i + 1:]
+                work[up] = work.get(up, complex(0)) - c
+        else:
+            out[alpha] = out.get(alpha, complex(0)) + c
+    return AngularPart(h.n, out)
+
+
+def _assert_atoms_close(got, want, rel=1e-12):
+    scale = max(got.max_abs(), want.max_abs())
+    for alpha in set(got.atoms) | set(want.atoms):
+        diff = got.atoms.get(alpha, 0) - want.atoms.get(alpha, 0)
+        assert abs(diff) <= rel * scale, (alpha, diff, scale)
+
+
+def test_canonicalize_power_of_sum_matches_naive_expansion():
+    rng = np.random.default_rng(31)
+    for n, p in itertools.product((1, 2, 3), range(7)):
+        for k in (int(rng.integers(0, 4)), 3):
+            c = float(f"{rng.uniform(0.5, 2.0) * rng.choice((-1, 1)):.3f}")
+            s = [float(f"{rng.uniform(0.5, 1.5) * rng.choice((-1, 1)):.3f}") for _ in range(n)]
+            inner = " + ".join(f"{v}*x{i + 1}" for i, v in enumerate(s))
+            text = f"{c}*({inner} + r)^{p}*(1 + log(r))^{k}"
+            (got,) = canonicalize(parse(text, n), n).components()
+            want = _naive_power_of_sum(n, c, s, p, k)
+            assert got.degree == want.degree and got.order == want.order == k
+            # the zero test behind forms_equal is absolute, so compare at unit scale
+            unit = 1.0 / want.coeff_norm()
+            assert forms_equal(got.scale(unit), want.scale(unit)), text
+            for a, b in zip(got.coeffs, want.coeffs):
+                _assert_atoms_close(a, b)
+                _assert_atoms_close(a.reduced(), b.reduced())
+
+
+def test_reduced_matches_lifo_reference():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        atoms = {}
+        for _ in range(int(rng.integers(1, 9))):
+            weight = int(rng.integers(0, 9))
+            alpha = tuple(int(v) for v in rng.multinomial(weight, [1.0 / n] * n))
+            atoms[alpha] = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        h = AngularPart(n, atoms)
+        got = h.reduced()
+        assert all(alpha[0] <= 1 for alpha in got.atoms)
+        _assert_atoms_close(got, _lifo_reduced(h))
+
+
+def test_reduced_high_power_agrees_on_sphere():
+    h = atom(3, 32, 0, 0)
+    red = h.reduced()
+    assert all(alpha[0] <= 1 for alpha in red.atoms)
+    rng = np.random.default_rng(41)
+    for x in random_points(rng, 3, 20):
+        omega = np.asarray(x) / np.linalg.norm(x)
+        terms = [c * np.prod(omega ** np.asarray(alpha)) for alpha, c in red.atoms.items()]
+        scale = sum(abs(t) for t in terms)
+        assert abs(red.eval_direction(omega) - h.eval_direction(omega)) <= 1e-12 * scale
+
+
+def test_expansion_budget():
+    # one product: 513 x 513 monomials of (1+r)^512 squared
+    with pytest.raises(ExpansionLimitError):
+        canonicalize(parse("(1+r)^100000", 1), 1)
+    # one monomial: variable degree or log power above the limit
+    with pytest.raises(ExpansionLimitError):
+        canonicalize(parse("x1^100000", 3), 3)
+    with pytest.raises(ExpansionLimitError):
+        canonicalize(parse("(x1+r)^100000", 1), 1)
+    with pytest.raises(ExpansionLimitError):
+        canonicalize(parse("log(r)^201", 1), 1)
+    (form,) = canonicalize(parse("log(r)^200", 1), 1).components()
+    assert form.order == 200
+    # its largest product is 35 x 969 monomials
+    (form,) = canonicalize(parse("(x1+x2+x3+r)^20", 3), 3).components()
+    assert (form.degree, form.order) == (20, 0)
