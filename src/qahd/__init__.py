@@ -22,6 +22,7 @@ from .errors import (
     NotInClassError,
     OriginError,
     QahdError,
+    QuadratureLimitError,
     RootSplitError,
     UndefinedDegreeError,
     ZeroInputError,
@@ -49,6 +50,7 @@ from .identify import (
 )
 from .logform import (
     AngularPart,
+    CoeffArray,
     LogForm,
     MultiForm,
     angular_is_zero,

@@ -26,6 +26,7 @@ from .errors import (
     NotInClassError,
     OriginError,
     QahdError,
+    QuadratureLimitError,
     RootSplitError,
     UndefinedDegreeError,
     ZeroInputError,
@@ -45,6 +46,7 @@ INPUT_ERRORS = (
     UndefinedDegreeError,
     IntegrabilityError,
     DimensionUnsupportedError,
+    QuadratureLimitError,
     InsufficientSamplesError,
     ValueError,
 )
@@ -248,8 +250,8 @@ def _cmd_pair_verify(args) -> int:
 def _cmd_identify(args) -> int:
     tree = parse(args.expr, args.n)
 
-    def f(x):
-        return eval_expr(tree, x)
+    def f(points):
+        return eval_expr(tree, points)
 
     if args.x0 is not None:
         if len(args.x0) != args.n:

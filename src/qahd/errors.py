@@ -58,6 +58,10 @@ class DimensionUnsupportedError(QahdError):
     """Pairing quadrature only implemented for n in {1, 2, 3}."""
 
 
+class QuadratureLimitError(QahdError):
+    """Quadrature grid larger than the pairing's fixed limit."""
+
+
 class InsufficientSamplesError(QahdError):
     """Sample series too short for the requested difference order."""
 

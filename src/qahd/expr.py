@@ -9,10 +9,11 @@ divisor is a monomial in r and the variables.
 from __future__ import annotations
 
 import cmath
-import math
 import re
 from dataclasses import dataclass
 from typing import Tuple, Union
+
+import numpy as np
 
 from .errors import (
     DimensionError,
@@ -378,58 +379,90 @@ def render(e: Expression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.
+# Evaluation, batched over points.
 
 
-def radius(x) -> float:
-    return math.sqrt(sum(float(c) * float(c) for c in x))
+def radii(points: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (m, n) array, summed in index order."""
+    sq = points[:, 0] * points[:, 0]
+    for i in range(1, points.shape[1]):
+        sq = sq + points[:, i] * points[:, i]
+    return np.sqrt(sq)
 
 
-def eval_expr(e: Expression, x) -> complex:
-    """Evaluate at a point x != 0; powers of r use exp(c * ln r), r > 0."""
-    r = radius(x)
-    if r == 0.0:
+def eval_expr(e: Expression, x):
+    """Evaluate at the rows of x (m, n), none of them 0, in one numpy pass.
+
+    Powers of r use exp(c * ln r), r > 0.  A single point x (n,) gives a
+    complex, a batch an array (m,).
+    """
+    points = np.atleast_2d(np.asarray(x, dtype=float))
+    r = radii(points)
+    if not r.all():
         raise OriginError("evaluation at the origin")
-    value = _eval(e, x, r, math.log(r))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    with np.errstate(all="ignore"):
+        value = _eval(e, points.astype(complex), r.astype(complex), np.log(r).astype(complex))
+    values = value if isinstance(value, np.ndarray) else np.full(r.size, value)
+    _check_finite(values)
+    return complex(values[0]) if np.ndim(x) == 1 else values
+
+
+def _check_finite(value) -> None:
+    if not np.isfinite(value).all():
         raise EvalOverflowError("evaluation overflowed the floating-point range")
-    return value
 
 
-def _eval(e, x, r, ln_r) -> complex:
+def _eval(e, cols, r, ln_r):
+    """Value of e as a complex scalar (constant subtree) or an array (m,).
+
+    Arithmetic is complex throughout, as in scalar evaluation, so that signed
+    zeros, and with them the branch of log at a negative base, agree.
+    """
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Variable):
-        return complex(x[e.index - 1])
+        return cols[:, e.index - 1]
     if isinstance(e, Radius):
-        return complex(r)
+        return r
     if isinstance(e, LogRadius):
-        return complex(ln_r)
+        return ln_r
     if isinstance(e, Negate):
-        return -_eval(e.child, x, r, ln_r)
+        return -_eval(e.child, cols, r, ln_r)
     if isinstance(e, Sum):
-        return sum((_eval(t, x, r, ln_r) for t in e.terms), complex(0))
+        return sum((_eval(t, cols, r, ln_r) for t in e.terms), complex(0))
     if isinstance(e, Product):
+        # the first factor makes acc a new array, so *= never writes to cols
         acc = complex(1)
         for f in e.factors:
-            acc *= _eval(f, x, r, ln_r)
+            acc *= _eval(f, cols, r, ln_r)
         return acc
     if isinstance(e, Power):
         c = e.exponent
-        try:
-            if isinstance(e.base, Radius):
-                return cmath.exp(c * ln_r)
-            b = _eval(e.base, x, r, ln_r)
-            if c.imag == 0 and c.real == int(c.real):
-                m = int(c.real)
-                if b == 0 and m < 0:
-                    raise EvalOverflowError("zero base with negative exponent")
-                return b ** m
-            if b == 0:
-                return complex(0)
-            return cmath.exp(c * cmath.log(b))
-        except OverflowError:
-            raise EvalOverflowError("evaluation overflowed the floating-point range") from None
+        if isinstance(e.base, Radius):
+            return np.exp(c * ln_r)
+        b = _eval(e.base, cols, r, ln_r)
+        if c.real <= 0:
+            # 1/inf and inf^0 are finite: an overflow in the base would vanish
+            # here, while anywhere else it reaches the checked result
+            _check_finite(b)
+        integral = c.imag == 0 and c.real.is_integer()
+        if integral and c.real < 0 and np.any(b == 0):
+            raise EvalOverflowError("zero base with negative exponent")
+        if not isinstance(b, np.ndarray):
+            try:
+                if integral:
+                    return b ** int(c.real)
+                return cmath.exp(c * cmath.log(b)) if b != 0 else complex(0)
+            except OverflowError:
+                raise EvalOverflowError(
+                    "evaluation overflowed the floating-point range"
+                ) from None
+        if integral:
+            return b ** int(c.real)
+        zero = b == 0
+        out = np.exp(c * np.log(np.where(zero, 1, b)))
+        out[zero] = 0
+        return out
     raise TypeError(f"not an expression node: {e!r}")
 
 

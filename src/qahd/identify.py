@@ -40,7 +40,11 @@ class SampleSeries:
 
 
 def sample_ray(f: Callable, x0, delta: float, count: int) -> SampleSeries:
-    """u_m = f(e^(m delta) x0) for m = 0..count-1."""
+    """u_m = f(e^(m delta) x0) for m = 0..count-1, in one call of f.
+
+    f is a batch callable: it takes the (count, n) array of ray points and
+    returns their values as an array of shape (count,).
+    """
     x0 = tuple(float(c) for c in x0)
     if all(c == 0.0 for c in x0):
         raise OriginError("ray base point must be nonzero")
@@ -48,11 +52,13 @@ def sample_ray(f: Callable, x0, delta: float, count: int) -> SampleSeries:
         raise ValueError("delta must be positive")
     if count < 3:
         raise InsufficientSamplesError("need at least 3 samples")
-    values = []
-    for m in range(count):
-        s = math.exp(m * delta)
-        values.append(complex(f(tuple(s * c for c in x0))))
-    return SampleSeries(x0, float(delta), tuple(values))
+    scales = np.array([math.exp(m * delta) for m in range(count)])
+    values = np.asarray(f(np.outer(scales, x0)))
+    if values.shape != (count,):
+        raise ValueError(
+            f"ray function returned shape {values.shape}, expected ({count},)"
+        )
+    return SampleSeries(x0, float(delta), tuple(complex(v) for v in values.tolist()))
 
 
 def binomial_annihilation_weights(order: int) -> Tuple[int, ...]:
@@ -157,7 +163,8 @@ def prony_recover(series: SampleSeries, k_max: int):
 
 def multi_probe_recover(f: Callable, n: int, k_max: int, *, delta: float = 0.1,
                         count: int | None = None, seed: int = 42):
-    """Probe 3n random directions; majority degree, max order.
+    """Probe 3n random directions with the batch callable f; majority
+    degree, max order.
 
     A single ray can undershoot the order when the top angular coefficient
     vanishes along it; the direction set makes that a measure-zero event.

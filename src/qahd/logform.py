@@ -9,12 +9,14 @@ equality well defined.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from . import expr as ex
 from .errors import (
+    EvalOverflowError,
     ExpansionLimitError,
     NotInClassError,
     OriginError,
@@ -99,23 +101,6 @@ class AngularPart:
         out.update(levels.get(1, {}))
         return AngularPart(self.n, out)
 
-    def eval_direction(self, omega) -> complex:
-        """Value at a unit vector omega (atoms are x^alpha / r^|alpha|)."""
-        acc = complex(0)
-        for alpha, c in self.atoms.items():
-            term = 1.0
-            for i, a in enumerate(alpha):
-                if a:
-                    term *= float(omega[i]) ** a
-            acc += c * term
-        return acc
-
-    def eval(self, x) -> complex:
-        r = ex.radius(x)
-        if r == 0.0:
-            raise OriginError("angular part undefined at the origin")
-        return self.eval_direction([float(c) / r for c in x])
-
     def __repr__(self):
         return f"AngularPart(n={self.n}, atoms={self.atoms!r})"
 
@@ -125,16 +110,77 @@ def angular_is_zero(h: AngularPart) -> bool:
     return h.reduced().max_abs() <= COEFF_ZERO_THRESHOLD
 
 
+class CoeffArray:
+    """Angular parts h_0..h_k stacked over one atom list.
+
+    `alphas` lists the m atoms, `exponents` is their (m, n) integer exponent
+    matrix and `values` the complex (k+1, m) matrix H with H[j, i] the
+    coefficient of atom i in h_j.  Operators act as (k+1)x(k+1) matrices on
+    H; `angular` evaluates every h_j at a batch of directions.
+    """
+
+    __slots__ = ("alphas", "exponents", "values", "_tables")
+
+    def __init__(self, alphas: Sequence[Alpha], exponents: np.ndarray, values: np.ndarray):
+        self.alphas = tuple(alphas)
+        self.exponents = exponents
+        self.values = values
+        # per dimension that occurs: (index, largest exponent + 1, atom exponents)
+        self._tables = [
+            (i, int(col.max()) + 1, col) for i, col in enumerate(exponents.T) if col.any()
+        ]
+
+    @classmethod
+    def of(cls, n: int, parts: Sequence[AngularPart]) -> "CoeffArray":
+        index: Dict[Alpha, int] = {}
+        for h in parts:
+            for alpha in h.atoms:
+                index.setdefault(alpha, len(index))
+        values = np.zeros((len(parts), len(index)), dtype=complex)
+        for j, h in enumerate(parts):
+            if h.atoms:
+                values[j, [index[alpha] for alpha in h.atoms]] = list(h.atoms.values())
+        exponents = np.array(list(index), dtype=np.int64).reshape(len(index), n)
+        return cls(index, exponents, values)
+
+    def parts(self, n: int, values: np.ndarray) -> List[AngularPart]:
+        """Angular parts with coefficient rows `values` over the same atoms."""
+        return [AngularPart(n, dict(zip(self.alphas, row))) for row in values.tolist()]
+
+    def angular(self, omega) -> np.ndarray:
+        """h_j(omega) at unit directions omega (P, n): an array (P, k+1).
+
+        The (P, m) monomial matrix is built one dimension at a time from a
+        table of the powers that dimension needs.
+        """
+        omega = np.atleast_2d(np.asarray(omega, dtype=float))
+        mono = np.ones((omega.shape[0], len(self.alphas)))
+        for i, size, col in self._tables:
+            mono *= power_table(omega[:, i], size)[:, col]
+        return mono @ self.values.T
+
+
+def power_table(x: np.ndarray, size: int) -> np.ndarray:
+    """x^j for j < size by repeated products, an array (P, size); a libm
+    pow per entry would cost several times as much."""
+    out = np.empty((x.size, size))
+    out[:, 0] = 1.0
+    for j in range(1, size):
+        out[:, j] = out[:, j - 1] * x
+    return out
+
+
 class LogForm:
     """Canonical value: dimension n, degree lam, log-power coefficients."""
 
-    __slots__ = ("n", "_lam", "coeffs", "is_zero")
+    __slots__ = ("n", "_lam", "coeffs", "is_zero", "_arrays")
 
     def __init__(self, n, lam, coeffs, is_zero):
         self.n = n
         self._lam = complex(lam)
         self.coeffs = tuple(coeffs)
         self.is_zero = is_zero
+        self._arrays = None
 
     @classmethod
     def make(cls, n: int, lam: complex, coeffs: Iterable[AngularPart]) -> "LogForm":
@@ -160,6 +206,12 @@ class LogForm:
         if self.is_zero:
             raise UndefinedDegreeError("the zero form has no order")
         return len(self.coeffs) - 1
+
+    def arrays(self) -> CoeffArray:
+        """The coefficient-array view of `coeffs` (built once per form)."""
+        if self._arrays is None:
+            self._arrays = CoeffArray.of(self.n, self.coeffs)
+        return self._arrays
 
     def scale(self, c: complex) -> "LogForm":
         if self.is_zero or c == 0:
@@ -219,21 +271,27 @@ class LogForm:
         return f"LogForm(n={self.n}, lam={self._lam}, k={self.order})"
 
 
-def eval_form(form: LogForm, x) -> complex:
-    """Pointwise value exp(lam ln r) * sum_j h_j(x/r) (ln r)^j."""
-    r = ex.radius(x)
-    if r == 0.0:
+def eval_form(form: LogForm, x):
+    """Values exp(lam ln r) * sum_j h_j(x/r) (ln r)^j at the rows of x (m, n).
+
+    A single point x (n,) gives a complex, a batch an array (m,).
+    """
+    points = np.atleast_2d(np.asarray(x, dtype=float))
+    r = ex.radii(points)
+    if not r.all():
         raise OriginError("evaluation at the origin")
     if form.is_zero:
-        return complex(0)
-    ln_r = math.log(r)
-    omega = [float(c) / r for c in x]
-    acc = complex(0)
-    log_pow = 1.0
-    for h in form.coeffs:
-        acc += h.eval_direction(omega) * log_pow
-        log_pow *= ln_r
-    return cmath.exp(form._lam * ln_r) * acc
+        values = np.zeros(r.size, dtype=complex)
+    else:
+        arr = form.arrays()
+        ln_r = np.log(r)
+        with np.errstate(all="ignore"):
+            acc = np.sum(arr.angular(points / r[:, None])
+                         * power_table(ln_r, len(form.coeffs)), axis=1)
+            values = np.exp(form._lam * ln_r) * acc
+        if not np.isfinite(values).all():
+            raise EvalOverflowError("evaluation overflowed the floating-point range")
+    return complex(values[0]) if np.ndim(x) == 1 else values
 
 
 def forms_equal(f: LogForm, g: LogForm) -> bool:
@@ -290,8 +348,9 @@ class MultiForm:
     def scale(self, c: complex) -> "MultiForm":
         return MultiForm(self.n, [f.scale(c) for f in self.forms])
 
-    def eval(self, x) -> complex:
-        return sum((eval_form(f, x) for f in self.forms), complex(0))
+    def eval(self, x):
+        """Sum of the components' values; a single point or a batch (m, n)."""
+        return sum((eval_form(f, x) for f in self.forms), eval_form(LogForm.zero(self.n), x))
 
     def to_dict(self) -> list:
         if self.is_zero:
@@ -373,14 +432,22 @@ def _expand(e, n) -> Monomials:
                 raise NotInClassError("negative log power is outside the class")
             return {(zero_alpha, complex(0), m): complex(1)}
         if isinstance(base, ex.Constant):
-            if c.imag == 0 and c.real == int(c.real):
-                m = int(c.real)
-                if base.value == 0 and m < 0:
-                    raise NotInClassError("zero base with negative exponent")
-                return {(zero_alpha, complex(0), 0): base.value ** m}
+            integral = c.imag == 0 and c.real.is_integer()
             if base.value == 0:
-                return {}
-            return {(zero_alpha, complex(0), 0): cmath.exp(c * cmath.log(base.value))}
+                if not integral:
+                    return {}
+                if c.real < 0:
+                    raise NotInClassError("zero base with negative exponent")
+            try:
+                if integral:
+                    value = base.value ** int(c.real)
+                else:
+                    value = cmath.exp(c * cmath.log(base.value))
+            except OverflowError:
+                raise EvalOverflowError(
+                    f"constant power {base.value}^{c} overflowed the floating-point range"
+                ) from None
+            return {(zero_alpha, complex(0), 0): value}
         m = _as_int(c, "a compound-base power")
         if m < 0:
             raise NotInClassError("negative power of a compound base")

@@ -1,16 +1,16 @@
 """Dilation and Euler operators on canonical forms, and the QAHD classifier.
 
-Coefficient actions (degree lam, coefficients h_0..h_k in the log basis):
+Every operator acts on the stacked log-power coefficients H = (h_0..h_k) of a
+form of degree lam as one (k+1)x(k+1) matrix M, giving M @ H:
 
-  dilate by a:      g_i = a^lam * sum_{j>=i} C(j,i) (log a)^(j-i) h_j
-  euler:            g_i = lam h_i + (i+1) h_{i+1}
-  (E - lam)^m:      g_i = ((i+m)!/i!) h_{i+m}        (exact shift)
-  delta_a(mu):      dilate(., a) - a^mu * id
+  dilate by a:      B[i][j] = a^lam C(j,i) (log a)^(j-i)      (dilation_coefficient_matrix)
+  E - mu:           (lam - mu) I + N,  N[i][i+1] = i+1      (euler: mu = 0)
+  (E - lam)^m:      N^m, N^m[i][i+m] = (i+m)!/i!            (exact shift)
+  delta_a(mu):      B - a^mu I
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -18,116 +18,91 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import EvalOverflowError, NonPositiveScaleError, ZeroInputError
-from .logform import AngularPart, LogForm, MultiForm, eval_form
+from .logform import LogForm, MultiForm, eval_form
+from .spectral import dilation_coefficient_matrix, scale_power
 
 DEFAULT_A_SAMPLES: Tuple[float, ...] = (0.5, 2.0 / 3.0, math.e, math.pi, 10.0)
 VERDICT_TOLERANCE = 1e-9
 DEGREE_MATCH_TOLERANCE = 1e-10
 
 
-def _scale_power(a: float, lam: complex) -> complex:
-    """a^lam via exp(lam ln a); single valued for a > 0."""
-    try:
-        return cmath.exp(lam * math.log(a))
-    except OverflowError:
-        raise EvalOverflowError(f"{a}^{lam} overflowed the floating-point range") from None
+def _act(form: LogForm, matrix: np.ndarray, power: int = 1) -> LogForm:
+    """The form whose coefficient matrix is matrix^power @ H, same degree."""
+    arr = form.arrays()
+    with np.errstate(all="ignore"):
+        values = np.linalg.matrix_power(matrix, power) @ arr.values
+    if not np.isfinite(values).all():
+        raise EvalOverflowError("operator coefficients overflowed the floating-point range")
+    return LogForm.make(form.n, form._lam, arr.parts(form.n, values))
+
+
+def _check_scale(a: float) -> None:
+    if a <= 0:
+        raise NonPositiveScaleError(f"dilation scale must be positive, got {a}")
+
+
+def _euler_matrix(size: int, shift: complex) -> np.ndarray:
+    """shift * I + N, the action of E - (lam - shift)."""
+    return shift * np.eye(size, dtype=complex) + np.diag(np.arange(1.0, size), 1)
+
+
+def _delta_matrix(form: LogForm, a: float, mu: complex) -> np.ndarray:
+    """B - a^mu I, the action of Delta_a(mu)."""
+    size = len(form.coeffs)
+    return (dilation_coefficient_matrix(a, form._lam, size)
+            - scale_power(a, mu) * np.eye(size, dtype=complex))
 
 
 def dilate(form: LogForm, a: float) -> LogForm:
     """Pointwise substitution x -> a*x, computed on coefficients."""
-    if a <= 0:
-        raise NonPositiveScaleError(f"dilation scale must be positive, got {a}")
+    _check_scale(a)
     if form.is_zero:
         return form
-    lam = form.degree
-    la = math.log(a)
-    amp = _scale_power(a, lam)
-    k = form.order
-    parts = []
-    for i in range(k + 1):
-        acc = AngularPart(form.n)
-        for j in range(i, k + 1):
-            w = math.comb(j, i) * la ** (j - i)
-            acc = acc.add(form.coeffs[j].scale(w))
-        parts.append(acc.scale(amp))
-    return LogForm.make(form.n, lam, parts)
+    return _act(form, dilation_coefficient_matrix(a, form._lam, len(form.coeffs)))
 
 
 def euler(form: LogForm) -> LogForm:
     """Coefficient action of E = sum_j x_j d/dx_j."""
-    if form.is_zero:
-        return form
-    lam = form.degree
-    k = form.order
-    parts = []
-    for i in range(k + 1):
-        acc = form.coeffs[i].scale(lam)
-        if i + 1 <= k:
-            acc = acc.add(form.coeffs[i + 1].scale(complex(i + 1)))
-        parts.append(acc)
-    return LogForm.make(form.n, lam, parts)
+    return euler_minus(form, complex(0))
 
 
 def euler_minus(form: LogForm, mu: complex) -> LogForm:
     """Single application of (E - mu)."""
     if form.is_zero:
         return form
-    lam = form.degree
-    shift = lam - mu
-    k = form.order
-    parts = []
-    for i in range(k + 1):
-        acc = form.coeffs[i].scale(shift)
-        if i + 1 <= k:
-            acc = acc.add(form.coeffs[i + 1].scale(complex(i + 1)))
-        parts.append(acc)
-    return LogForm.make(form.n, lam, parts)
+    return _act(form, _euler_matrix(len(form.coeffs), form._lam - mu))
 
 
 def delta(form: LogForm, a: float, mu: complex) -> LogForm:
     """Spectral difference Delta_a(mu) = U_a - a^mu I."""
-    if a <= 0:
-        raise NonPositiveScaleError(f"dilation scale must be positive, got {a}")
+    _check_scale(a)
     if form.is_zero:
         return form
-    return dilate(form, a).sub(form.scale(_scale_power(a, mu)))
+    return _act(form, _delta_matrix(form, a, complex(mu)))
 
 
 def op_power(kind: str, m: int, form: LogForm, *, a: float | None = None,
              lam: complex | None = None) -> LogForm:
-    """m-fold composition of (E - lam) or Delta_a(lam).
+    """m-fold composition of (E - lam) or Delta_a(lam), as one matrix power.
 
-    `lam` defaults to the degree of `form`; in that case the Euler kind uses
-    the exact nilpotent shift g_i = ((i+m)!/i!) h_{i+m}.
+    `lam` defaults to the degree of `form`; at the form's own degree the
+    Euler kind is the exact nilpotent shift g_i = ((i+m)!/i!) h_{i+m}.
     """
     if m < 0:
         raise ValueError("power must be non-negative")
     if form.is_zero or m == 0:
         return form
+    target = form._lam if lam is None else complex(lam)
+    size = len(form.coeffs)
     if kind == "euler_minus_lambda":
-        own = form.degree
-        target = own if lam is None else complex(lam)
-        if target == own:
-            k = form.order
-            if m > k:
-                return LogForm.zero(form.n)
-            parts = []
-            for i in range(k + 1 - m):
-                factor = math.perm(i + m, m)  # (i+m)!/i!
-                parts.append(form.coeffs[i + m].scale(complex(factor)))
-            return LogForm.make(form.n, own, parts)
-        out = form
-        for _ in range(m):
-            out = euler_minus(out, target)
-        return out
+        if target == form._lam and m >= size:
+            return LogForm.zero(form.n)
+        return _act(form, _euler_matrix(size, form._lam - target), m)
     if kind == "delta_a":
         if a is None:
             raise ValueError("delta_a requires the scale a")
-        target = form.degree if lam is None else complex(lam)
-        out = form
-        for _ in range(m):
-            out = delta(out, a, target)
-        return out
+        _check_scale(a)
+        return _act(form, _delta_matrix(form, a, target), m)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -145,23 +120,19 @@ def chain(form: LogForm) -> List[LogForm]:
     return [op_power("euler_minus_lambda", s, form) for s in range(form.order + 1)]
 
 
-def random_points(n: int, count: int, rng: np.random.Generator,
-                  r_min: float = 0.5, r_max: float = 2.0) -> List[Tuple[float, ...]]:
-    """Sample points away from the origin: uniform direction, radius in range."""
-    points = []
-    for _ in range(count):
+def random_points(rng: np.random.Generator, n: int, count: int,
+                  r_min: float = 0.5, r_max: float = 2.0) -> np.ndarray:
+    """Points away from the origin, an array (count, n): uniform direction,
+    radius uniform in [r_min, r_max]."""
+    points = np.empty((count, n))
+    for p in range(count):
         v = rng.normal(size=n)
         norm = float(np.linalg.norm(v))
         while norm < 1e-6:
             v = rng.normal(size=n)
             norm = float(np.linalg.norm(v))
-        radius = float(rng.uniform(r_min, r_max))
-        points.append(tuple(radius * c / norm for c in v))
+        points[p] = float(rng.uniform(r_min, r_max)) * v / norm
     return points
-
-
-def _residual(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
 @dataclass
@@ -213,21 +184,27 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
     if any(a <= 0 for a in a_samples):
         raise NonPositiveScaleError("all a-samples must be positive")
     lam = complex(lam)
-    rng = np.random.default_rng(seed)
-    points = random_points(form.n, n_points, rng)
+    points = random_points(np.random.default_rng(seed), form.n, n_points)
 
-    members = [op_power("euler_minus_lambda", r, form, lam=lam) for r in range(k + 1)]
-    definitional = 0.0
-    for a in a_samples:
-        amp = _scale_power(a, lam)
-        la = math.log(a)
-        for x in points:
-            lhs = eval_form(form, tuple(a * c for c in x))
-            rhs = complex(0)
-            for r in range(k + 1):
-                rhs += (la ** r / math.factorial(r)) * eval_form(members[r], x)
-            rhs *= amp
-            definitional = max(definitional, _residual(lhs, rhs))
+    # U_a F at the points a*x for every a at once, against the chain members
+    # at the points x; rows are a-samples, columns points
+    scales = np.asarray(a_samples, dtype=float)
+    lhs = eval_form(form, (scales[:, None, None] * points).reshape(-1, form.n))
+    lhs = lhs.reshape(scales.size, n_points)
+    members = [eval_form(op_power("euler_minus_lambda", r, form, lam=lam), points)
+               for r in range(k + 1)]
+    amps = np.array([scale_power(a, lam) for a in a_samples])
+    with np.errstate(all="ignore"):
+        rhs = np.zeros_like(lhs)
+        for r, values in enumerate(members):
+            weights = np.array([math.log(a) ** r / math.factorial(r) for a in a_samples])
+            rhs = rhs + weights[:, None] * values
+        rhs = rhs * amps[:, None]
+        residuals = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
+    # an overflow raises rather than leaving inf or NaN in the criterion
+    if not np.isfinite(residuals).all():
+        raise EvalOverflowError("definitional residual overflowed the floating-point range")
+    definitional = float(residuals.max(initial=0.0))
 
     norm = form.coeff_norm()
     dilation_nilpotency = 0.0

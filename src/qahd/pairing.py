@@ -18,11 +18,15 @@ from .errors import (
     DimensionUnsupportedError,
     IntegrabilityError,
     NonPositiveScaleError,
+    QuadratureLimitError,
 )
-from .logform import LogForm
+from .logform import LogForm, power_table
 from .operators import op_power
 
 DEFAULT_PAIR_TOLERANCE = 1e-6
+# Largest (radius, direction) grid `pair` builds, checked before any array
+# is: 4x the 128 x 8192 grid of n = 3 at 128 nodes.
+MAX_QUADRATURE_VALUES = 4 * 128 * 8192
 
 
 @dataclass(frozen=True)
@@ -86,27 +90,13 @@ class QuadratureSpec:
         return {"Kr": self.radial, "Kw": self.angular}
 
 
-def _form_values_grid(form: LogForm, r: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """Values of sum_j h_j(omega) (ln r)^j on an (r x direction) grid.
-
-    r has shape (Kr,), omega has shape (n, Kd); output shape (Kr, Kd).
-    The r^lam factor is left to the caller (it folds into the radial weight).
-    """
-    ln_r = np.log(r)
-    kd = omega.shape[1]
-    out = np.zeros((r.size, kd), dtype=complex)
-    log_pow = np.ones(r.size)
-    for h in form.coeffs:
-        ang = np.zeros(kd, dtype=complex)
-        for alpha, c in h.atoms.items():
-            term = np.ones(kd)
-            for i, a in enumerate(alpha):
-                if a:
-                    term = term * omega[i] ** a
-            ang += c * term
-        out += np.outer(log_pow, ang)
-        log_pow = log_pow * ln_r
-    return out
+def _direction_count(n: int, spec: QuadratureSpec) -> int:
+    """Number of directions `_angular_rule` returns."""
+    if n == 1:
+        return 2
+    if n == 2:
+        return spec.angular
+    return max(4, spec.angular // 2) * spec.angular
 
 
 def _angular_rule(n: int, spec: QuadratureSpec):
@@ -138,6 +128,12 @@ def pair(form: LogForm, phi: TestFunction, spec: QuadratureSpec = QuadratureSpec
     n = phi.n
     if n not in (1, 2, 3):
         raise DimensionUnsupportedError(f"pairing supports n in 1..3, got {n}")
+    size = spec.radial * _direction_count(n, spec)
+    if size > MAX_QUADRATURE_VALUES:
+        raise QuadratureLimitError(
+            f"quadrature grid of {size} (radius, direction) values exceeds the "
+            f"limit {MAX_QUADRATURE_VALUES}"
+        )
     if form.is_zero:
         return complex(0)
     if form.n != n:
@@ -156,7 +152,9 @@ def pair(form: LogForm, phi: TestFunction, spec: QuadratureSpec = QuadratureSpec
     omega, w_a = _angular_rule(n, spec)
 
     radial = np.exp((lam + (n - 1)) * np.log(r.astype(complex)))  # r^(lam+n-1)
-    grid = _form_values_grid(form, r, omega)
+    # sum_j h_j(omega) (ln r)^j on the (radius, direction) grid; r^lam is
+    # folded into the radial weight
+    grid = power_table(np.log(r), len(form.coeffs)) @ form.arrays().angular(omega.T).T
     points = r[None, :, None] * omega[:, None, :]  # (n, Kr, Kd)
     bump = phi.values(points)  # (Kr, Kd)
     integrand = grid * bump

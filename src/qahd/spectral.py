@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveScaleError
+from .errors import EvalOverflowError, NonPositiveScaleError
+
+
+def scale_power(a: float, lam: complex) -> complex:
+    """a^lam via exp(lam ln a); single valued for a > 0."""
+    try:
+        return cmath.exp(lam * math.log(a))
+    except OverflowError:
+        raise EvalOverflowError(f"{a}^{lam} overflowed the floating-point range") from None
 
 
 def shift_matrix(size: int) -> np.ndarray:
@@ -54,12 +62,17 @@ def build_R(a: float, lam: complex, size: int) -> DilationMatrix:
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     lam = complex(lam)
-    amp = cmath.exp(lam * math.log(a))
+    amp = scale_power(a, lam)
     la = math.log(a)
     m = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(i, size):
-            m[i, j] = amp * la ** (j - i)
+    try:
+        for i in range(size):
+            for j in range(i, size):
+                m[i, j] = amp * la ** (j - i)
+    except OverflowError:
+        raise EvalOverflowError(
+            f"dilation matrix of size {size} at a={a} overflowed the floating-point range"
+        ) from None
     return DilationMatrix(size, float(a), lam, m)
 
 
@@ -77,7 +90,7 @@ def nilpotent_action(size: int, a: float, lam: complex, k: int) -> float:
         raise IndexError(f"k={k} out of range for size {size}")
     lam = complex(lam)
     r = build_R(a, lam, size).entries
-    amp = cmath.exp(lam * math.log(a))
+    amp = scale_power(a, lam)
     d = r - amp * np.eye(size, dtype=complex)
     m = np.linalg.matrix_power(d, k + 1)
     v = np.zeros(size, dtype=complex)
@@ -107,11 +120,15 @@ def dilation_coefficient_matrix(a: float, lam: complex, size: int) -> np.ndarray
     """
     if a <= 0:
         raise NonPositiveScaleError(f"scale must be positive, got {a}")
-    lam = complex(lam)
-    amp = cmath.exp(lam * math.log(a))
+    amp = scale_power(a, complex(lam))
     la = math.log(a)
     b = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(i, size):
-            b[i, j] = amp * math.comb(j, i) * la ** (j - i)
+    try:
+        for i in range(size):
+            for j in range(i, size):
+                b[i, j] = amp * math.comb(j, i) * la ** (j - i)
+    except OverflowError:
+        raise EvalOverflowError(
+            f"dilation matrix of size {size} at a={a} overflowed the floating-point range"
+        ) from None
     return b

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qahd.logform import AngularPart, LogForm
+from qahd.operators import random_points  # noqa: F401  (shared with the suites)
 from qahd.pairing import TestFunction
 
 # keep pytest from trying to collect the bump class by its name
@@ -40,19 +41,6 @@ def random_form(rng, n=None, k=None, lam=None, max_alpha=4):
         form = LogForm.make(n, lam, parts)
         if not form.is_zero and form.order == k:
             return form
-
-
-def random_points(rng, n, count, r_min=0.5, r_max=2.0):
-    points = []
-    for _ in range(count):
-        v = rng.normal(size=n)
-        norm = float(np.linalg.norm(v))
-        while norm < 1e-6:
-            v = rng.normal(size=n)
-            norm = float(np.linalg.norm(v))
-        radius = float(rng.uniform(r_min, r_max))
-        points.append(tuple(radius * c / norm for c in v))
-    return points
 
 
 class ExprGen:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qahd.cli import parse_complex, run
@@ -76,11 +77,33 @@ def test_expansion_limit_exit_code(capsys):
 def test_overflow_exit_code(capsys):
     for argv in (
         ("apply", "r^300", "--op", "dilate=1e300"),
+        ("apply", "1e300*r", "--op", "dilate=1e10"),
+        ("apply", "log(r)^200", "--op", "dilate=1e300"),
         ("identify", "r^(1000)"),
+        # (a x)^300 overflows at a = 10: an error, not a NaN that max() drops
+        # into "verdict": true
+        ("verify", "-n", "1", "r^300", "--degree", "300", "--order", "0"),
+        ("classify", "10^400"),
+        ("classify", "10^(400.5)"),
+        ("matrix", "--a", "1e300", "--size", "200"),
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 3
         assert payload["error"] == "EvalOverflowError"
+
+
+def test_quadrature_limit_exit_code(capsys, monkeypatch):
+    # the limit is checked before any node or grid is built
+    def refuse(*args):
+        raise AssertionError("quadrature nodes built past the grid limit")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    code, payload = invoke_json(
+        capsys, "pair", "-n", "3", "r", "--center", "3", "0", "0",
+        "--kr", "1024", "--kw", "1024",
+    )
+    assert code == 2
+    assert payload["error"] == "QuadratureLimitError"
 
 
 def test_classify_zero_input(capsys):

@@ -20,7 +20,7 @@ from qahd.identify import (
     prony_recover,
     sample_ray,
 )
-from qahd.logform import eval_form
+from qahd.logform import CoeffArray, eval_form
 
 from conftest import random_form
 
@@ -32,19 +32,19 @@ def ray(values, delta=0.1):
 # --- sample_ray -------------------------------------------------------------
 
 def test_sample_ray_geometric():
-    f = lambda x: x[0] ** 2
+    f = lambda X: X[:, 0] ** 2
     s = sample_ray(f, (1.0,), math.log(2), 3)
     assert s.values == (1, 4, 16)
 
 
 def test_sample_ray_arithmetic():
-    f = lambda x: math.log(abs(x[0]))
+    f = lambda X: np.log(np.abs(X[:, 0]))
     s = sample_ray(f, (1.0,), 1.0, 4)
     assert s.values == pytest.approx((0, 1, 2, 3))
 
 
 def test_sample_ray_closed_form():
-    f = lambda x: abs(x[0]) ** 0.5 * (1 + math.log(abs(x[0])))
+    f = lambda X: np.abs(X[:, 0]) ** 0.5 * (1 + np.log(np.abs(X[:, 0])))
     s = sample_ray(f, (1.0,), 0.1, 12)
     want = [math.exp(0.05 * m) * (1 + 0.1 * m) for m in range(12)]
     assert s.values == pytest.approx(want)
@@ -52,11 +52,18 @@ def test_sample_ray_closed_form():
 
 def test_sample_ray_validation():
     with pytest.raises(OriginError):
-        sample_ray(lambda x: 1.0, (0.0, 0.0), 0.1, 5)
+        sample_ray(lambda X: np.ones(len(X)), (0.0, 0.0), 0.1, 5)
     with pytest.raises(ValueError):
-        sample_ray(lambda x: 1.0, (1.0,), -0.1, 5)
+        sample_ray(lambda X: np.ones(len(X)), (1.0,), -0.1, 5)
     with pytest.raises(InsufficientSamplesError):
-        sample_ray(lambda x: 1.0, (1.0,), 0.1, 2)
+        sample_ray(lambda X: np.ones(len(X)), (1.0,), 0.1, 2)
+
+
+def test_sample_ray_rejects_non_batch_result():
+    # f must map the (count, n) ray points to an array of shape (count,)
+    for f in (lambda X: 1.0, lambda X: X, lambda X: X[:-1, 0], lambda X: X[:, :1]):
+        with pytest.raises(ValueError, match="shape"):
+            sample_ray(f, (1.0, 2.0), 0.1, 5)
 
 
 # --- annihilation_check -----------------------------------------------------
@@ -170,8 +177,9 @@ def test_prony_consistency_with_forms():
         v = rng.normal(size=n)
         x0 = tuple(c / float(np.linalg.norm(v)) for c in v)
         omega = np.asarray(x0)
-        top = f.coeffs[-1].reduced().eval_direction(omega)
-        peak = max(abs(h.reduced().eval_direction(omega)) for h in f.coeffs)
+        values = CoeffArray.of(n, [h.reduced() for h in f.coeffs]).angular(omega)[0]
+        top = values[-1]
+        peak = max(abs(values))
         if abs(top) < 1e-2 * (1.0 + peak):
             continue  # near-degenerate probe direction; multi-probe covers it
         # searching up to order k_max = k+1 needs 2(k+2)+1 samples

@@ -11,6 +11,7 @@ from qahd.errors import ExpansionLimitError, NotInClassError, UndefinedDegreeErr
 from qahd.expr import parse
 from qahd.logform import (
     AngularPart,
+    CoeffArray,
     LogForm,
     angular_is_zero,
     canonicalize,
@@ -87,7 +88,7 @@ def test_angular_is_zero():
     for _ in range(100):
         v = rng.normal(size=2)
         omega = v / np.linalg.norm(v)
-        assert abs(pythagoras.eval_direction(omega)) < 1e-12
+        assert abs(CoeffArray.of(2, [pythagoras]).angular(omega)[0, 0]) < 1e-12
 
 
 def test_forms_equal():
@@ -275,7 +276,8 @@ def test_reduced_high_power_agrees_on_sphere():
         omega = np.asarray(x) / np.linalg.norm(x)
         terms = [c * np.prod(omega ** np.asarray(alpha)) for alpha, c in red.atoms.items()]
         scale = sum(abs(t) for t in terms)
-        assert abs(red.eval_direction(omega) - h.eval_direction(omega)) <= 1e-12 * scale
+        got, want = CoeffArray.of(3, [red, h]).angular(omega)[0]
+        assert abs(got - want) <= 1e-12 * scale
 
 
 def test_expansion_budget():

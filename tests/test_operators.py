@@ -311,6 +311,36 @@ def test_verify_random_forms_pass(form_corpus):
         assert report.verdict, report.to_dict()
 
 
+def test_verify_overflow_raises():
+    # a^lam F(x) overflows while F(a x) does not: the residual is inf, which
+    # must raise rather than reach the verdict
+    from qahd.errors import EvalOverflowError
+
+    f = const_form(0, [1e10])
+    with pytest.raises(EvalOverflowError):
+        verify_qahd(f, complex(300), 0, a_samples=[10.0])
+    with pytest.raises(EvalOverflowError):
+        verify_qahd(const_form(300, [1], n=1), complex(300), 0)
+
+
+def test_verify_rejects_nan_values(monkeypatch):
+    # a NaN that reached the residuals would be dropped or reported, never
+    # an error; the criterion checks its residuals itself
+    from qahd import operators
+    from qahd.errors import EvalOverflowError
+
+    evaluate = operators.eval_form
+
+    def leaky(form, points):
+        values = evaluate(form, points)
+        values[0] = complex("nan")
+        return values
+
+    monkeypatch.setattr(operators, "eval_form", leaky)
+    with pytest.raises(EvalOverflowError):
+        verify_qahd(const_form(1.5, [1]), complex(1.5), 0)
+
+
 def test_verify_rejects_bad_a_samples():
     f = const_form(2, [1])
     with pytest.raises(ValueError):

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from qahd import pairing
 from qahd.errors import (
     DimensionUnsupportedError,
     IntegrabilityError,
     NonPositiveScaleError,
+    QuadratureLimitError,
 )
 from qahd.logform import AngularPart, LogForm
 from qahd.pairing import QuadratureSpec, TestFunction, pair, verify_pairing_identity
@@ -138,6 +140,33 @@ def test_pair_rejects_high_dimension():
     object.__setattr__(phi, "width", 1.0)
     with pytest.raises(DimensionUnsupportedError):
         pair(const_form(0, [1], 4), phi)
+
+
+def test_quadrature_limit_checked_before_allocation(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    # past the limit nothing is built; up to it, the nodes are (and raise here)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", built)
+    monkeypatch.setattr(pairing, "_angular_rule", built)
+    form = const_form(0, [1], 3)
+    phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
+    for spec in (QuadratureSpec(1024, 1024), QuadratureSpec(513, 128),
+                 QuadratureSpec(4, 4097)):
+        with pytest.raises(QuadratureLimitError):
+            pair(form, phi, spec)
+    with pytest.raises(QuadratureLimitError):
+        verify_pairing_identity(form, phi, 2.0, QuadratureSpec(1024, 1024))
+    # 4x the largest grid of the benchmark (n = 3 at 128 nodes) is admitted
+    for spec in (QuadratureSpec(128, 128), QuadratureSpec(512, 128)):
+        with pytest.raises(Built):
+            pair(form, phi, spec)
+    line = TestFunction(1, (3.0,), 1.0)
+    with pytest.raises(QuadratureLimitError):
+        pair(const_form(0, [1], 1), line, QuadratureSpec(pairing.MAX_QUADRATURE_VALUES, 4))
 
 
 def test_quadrature_spec_validation():
