@@ -3,19 +3,30 @@
 The radial direction uses Gauss-Legendre on the support interval of the
 bump; the angular direction uses the two-point rule (n=1), a uniform rule
 on the circle (n=2), or Gauss-Legendre in cos(theta) times a uniform
-azimuth rule (n=3).
+azimuth rule (n=3).  A `QuadratureSpec` builds these nodes once per
+dimension and keeps them, so all pairings made with one spec (the k+2 of
+`verify_pairing_identity`) share one rule.
+
+`pair` does only the work whose result is nonzero.  It evaluates the bump in
+polar form, |r omega - c|^2 = (r - omega.c)^2 + |c - (omega.c) omega|^2, on
+the (radius, direction) grid.  When the support does not contain the origin
+it drops the directions whose ray never meets the ball (omega.c <= 0, or
+distance from c to the ray's line >= width), on which the bump is exactly 0.
+It sums over directions before radii: M = bump @ (w_omega h_j(omega)) is
+(Kr, k+1), and the value is sum_i w_i r_i^(lam+n-1) sum_j (ln r_i)^j M[i, j].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import (
     DimensionUnsupportedError,
+    EvalOverflowError,
     IntegrabilityError,
     NonPositiveScaleError,
     QuadratureLimitError,
@@ -29,6 +40,14 @@ DEFAULT_PAIR_TOLERANCE = 1e-6
 MAX_QUADRATURE_VALUES = 4 * 128 * 8192
 
 
+def _bump(u2: np.ndarray) -> np.ndarray:
+    """The bump profile u^2 -> exp(-1/(1-u^2)) for u^2 < 1, and 0 elsewhere."""
+    out = np.zeros(u2.shape)
+    inside = u2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
+    return out
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Radial bump phi(x) = exp(-1/(1-u^2)), u = |x - center|/width."""
@@ -38,19 +57,17 @@ class TestFunction:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise NonPositiveScaleError("bump width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise NonPositiveScaleError("bump width must be positive and finite")
         if len(self.center) != self.n:
             raise ValueError("center dimension mismatch")
+        if not all(math.isfinite(v) for v in self.center):
+            raise ValueError("bump center must be finite")
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; points has shape (n, ...)."""
         c = np.asarray(self.center).reshape((self.n,) + (1,) * (points.ndim - 1))
-        u2 = np.sum((points - c) ** 2, axis=0) / self.width ** 2
-        out = np.zeros(u2.shape)
-        inside = u2 < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
-        return out
+        return _bump(np.sum((points - c) ** 2, axis=0) / self.width ** 2)
 
     def __call__(self, x) -> float:
         pts = np.asarray(x, dtype=float).reshape(self.n, 1)
@@ -58,9 +75,12 @@ class TestFunction:
 
     def scaled(self, a: float) -> "TestFunction":
         """The bump x -> phi(x/a)."""
-        if a <= 0:
-            raise NonPositiveScaleError("scale must be positive")
-        return TestFunction(self.n, tuple(a * c for c in self.center), a * self.width)
+        if not (math.isfinite(a) and a > 0):
+            raise NonPositiveScaleError("scale must be positive and finite")
+        center = tuple(a * c for c in self.center)
+        if not all(math.isfinite(v) for v in center + (a * self.width,)):
+            raise EvalOverflowError(f"bump scaled by {a} overflowed the floating-point range")
+        return TestFunction(self.n, center, a * self.width)
 
     def support_radii(self) -> Tuple[float, float]:
         c = math.sqrt(sum(v * v for v in self.center))
@@ -76,8 +96,12 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Node counts of the pairing quadrature, and the rules built from them."""
+
     radial: int = 64
     angular: int = 64
+    # dimension -> rule, filled by `rule`; lives and dies with the spec
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radial < 4 or self.angular < 4:
@@ -85,6 +109,14 @@ class QuadratureSpec:
 
     def doubled(self) -> "QuadratureSpec":
         return QuadratureSpec(2 * self.radial, 2 * self.angular)
+
+    def rule(self, n: int):
+        """Gauss-Legendre nodes and weights on [-1, 1], each (Kr,), unit
+        directions (Kd, n) and their weights (Kd,); built on first use."""
+        if n not in self._rules:
+            nodes, weights = np.polynomial.legendre.leggauss(self.radial)
+            self._rules[n] = (nodes, weights) + _angular_rule(n, self)
+        return self._rules[n]
 
     def to_dict(self) -> dict:
         return {"Kr": self.radial, "Kw": self.angular}
@@ -100,13 +132,13 @@ def _direction_count(n: int, spec: QuadratureSpec) -> int:
 
 
 def _angular_rule(n: int, spec: QuadratureSpec):
-    """Directions (n, Kd) and weights (Kd,) for the sphere integral."""
+    """Directions (Kd, n) and weights (Kd,) for the sphere integral."""
     if n == 1:
-        omega = np.array([[1.0, -1.0]])
+        omega = np.array([[1.0], [-1.0]])
         weights = np.array([1.0, 1.0])
     elif n == 2:
         theta = 2.0 * math.pi * np.arange(spec.angular) / spec.angular
-        omega = np.vstack([np.cos(theta), np.sin(theta)])
+        omega = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(spec.angular, 2.0 * math.pi / spec.angular)
     elif n == 3:
         k_polar = max(4, spec.angular // 2)
@@ -116,15 +148,20 @@ def _angular_rule(n: int, spec: QuadratureSpec):
         ox = np.outer(sin_t, np.cos(phi)).ravel()
         oy = np.outer(sin_t, np.sin(phi)).ravel()
         oz = np.outer(u, np.ones_like(phi)).ravel()
-        omega = np.vstack([ox, oy, oz])
+        omega = np.column_stack([ox, oy, oz])
         weights = np.outer(wu, np.full(spec.angular, 2.0 * math.pi / spec.angular)).ravel()
     else:
         raise DimensionUnsupportedError(f"pairing supports n in 1..3, got {n}")
     return omega, weights
 
 
-def pair(form: LogForm, phi: TestFunction, spec: QuadratureSpec = QuadratureSpec()) -> complex:
-    """Quadrature value of the integral of F(x) phi(x) dx over R^n."""
+def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None) -> complex:
+    """Quadrature value of the integral of F(x) phi(x) dx over R^n.
+
+    `spec` defaults to `QuadratureSpec()`, a fresh one per call.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
     n = phi.n
     if n not in (1, 2, 3):
         raise DimensionUnsupportedError(f"pairing supports n in 1..3, got {n}")
@@ -146,46 +183,63 @@ def pair(form: LogForm, phi: TestFunction, spec: QuadratureSpec = QuadratureSpec
     r_lo, r_hi = phi.support_radii()
     if r_hi <= r_lo:
         return complex(0)
-    nodes, w_r = np.polynomial.legendre.leggauss(spec.radial)
+    nodes, w_r, omega, w_a = spec.rule(n)
     r = 0.5 * (r_hi - r_lo) * nodes + 0.5 * (r_hi + r_lo)
     w_r = 0.5 * (r_hi - r_lo) * w_r
-    omega, w_a = _angular_rule(n, spec)
 
-    radial = np.exp((lam + (n - 1)) * np.log(r.astype(complex)))  # r^(lam+n-1)
-    # sum_j h_j(omega) (ln r)^j on the (radius, direction) grid; r^lam is
-    # folded into the radial weight
-    grid = power_table(np.log(r), len(form.coeffs)) @ form.arrays().angular(omega.T).T
-    points = r[None, :, None] * omega[:, None, :]  # (n, Kr, Kd)
-    bump = phi.values(points)  # (Kr, Kd)
-    integrand = grid * bump
-    return complex(np.einsum("i,j,ij->", w_r * radial, w_a, integrand))
+    c = np.asarray(phi.center, dtype=float)
+    w2 = phi.width ** 2
+    with np.errstate(all="ignore"):
+        p = omega @ c
+        # squared distance from c to each direction's line, |c|^2 - p^2
+        q2 = np.sum((c - p[:, None] * omega) ** 2, axis=1)
+        if not phi.contains_origin():
+            keep = (p > 0) & (q2 < w2)
+            omega, w_a, p, q2 = omega[keep], w_a[keep], p[keep], q2[keep]
+        u2 = np.subtract.outer(r, p)  # (Kr, Kd), built in place
+        u2 *= u2
+        u2 += q2
+        u2 /= w2
+        bump = _bump(u2)
+        h = w_a[:, None] * form.arrays().angular(omega)  # (Kd, k+1), complex
+        # a real matrix times the interleaved (re, im) columns of h: M as
+        # (Kr, k+1) complex, without casting the bump to complex
+        m = (bump @ h.view(float)).view(complex)
+        radial = w_r * np.exp((lam + (n - 1)) * np.log(r.astype(complex)))  # w r^(lam+n-1)
+        value = complex(radial @ np.sum(power_table(np.log(r), len(form.coeffs)) * m, axis=1))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise EvalOverflowError("pairing overflowed the floating-point range")
+    return value
 
 
 def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
-                            spec: QuadratureSpec = QuadratureSpec(),
+                            spec: Optional[QuadratureSpec] = None,
                             tolerance: float = DEFAULT_PAIR_TOLERANCE) -> dict:
     """Residual of <F, phi(./a)> = a^(lam+n) [<F,phi> + sum_r log^r a <f_r,phi>/r!].
 
-    Chain members are the canonical ones, (E - lam)^r F / r!.
+    Chain members are the canonical ones, (E - lam)^r F / r!.  All k+2
+    pairings share `spec`'s rule (a fresh `QuadratureSpec()` by default).
     """
-    if a <= 0:
-        raise NonPositiveScaleError("scale must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise NonPositiveScaleError("scale must be positive and finite")
     if form.is_zero:
         raise ValueError("identity check needs a nonzero form")
+    if spec is None:
+        spec = QuadratureSpec()
     lam = form.degree
     k = form.order
     n = phi.n
     lhs = pair(form, phi.scaled(a), spec)
-    la = math.log(a)
-    amp = np.exp(complex(lam + n) * la)
-    rhs = pair(form, phi, spec)
-    pair_terms = [rhs]
-    for r in range(1, k + 1):
-        member = op_power("euler_minus_lambda", r, form).scale(1.0 / math.factorial(r))
-        term = pair(member, phi, spec)
-        pair_terms.append(term)
-        rhs = rhs + la ** r * term
-    rhs = amp * rhs
+    la = np.float64(math.log(a))  # so that la ** r overflows to inf, checked below
+    with np.errstate(all="ignore"):
+        amp = np.exp(complex(lam + n) * la)
+        rhs = pair(form, phi, spec)
+        for r in range(1, k + 1):
+            member = op_power("euler_minus_lambda", r, form).scale(1.0 / math.factorial(r))
+            rhs = rhs + la ** r * pair(member, phi, spec)
+        rhs = amp * rhs
+    if not np.isfinite(rhs):
+        raise EvalOverflowError("pairing identity overflowed the floating-point range")
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return {
         "degree": {"re": lam.real, "im": lam.imag},

@@ -65,14 +65,15 @@ def build_R(a: float, lam: complex, size: int) -> DilationMatrix:
     amp = scale_power(a, lam)
     la = math.log(a)
     m = np.zeros((size, size), dtype=complex)
+    overflow = f"dilation matrix of size {size} at a={a} overflowed the floating-point range"
     try:
         for i in range(size):
             for j in range(i, size):
                 m[i, j] = amp * la ** (j - i)
     except OverflowError:
-        raise EvalOverflowError(
-            f"dilation matrix of size {size} at a={a} overflowed the floating-point range"
-        ) from None
+        raise EvalOverflowError(overflow) from None
+    if not np.isfinite(m).all():
+        raise EvalOverflowError(overflow)
     return DilationMatrix(size, float(a), lam, m)
 
 

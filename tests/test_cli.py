@@ -86,10 +86,34 @@ def test_overflow_exit_code(capsys):
         ("classify", "10^400"),
         ("classify", "10^(400.5)"),
         ("matrix", "--a", "1e300", "--size", "200"),
+        # a product, not a power, leaves the floating-point range
+        ("matrix", "--a", "1e300", "--lambda", "1", "--size", "4"),
+        ("pair", "-n", "1", "1e300*r^300", "--center", "5", "--width", "1"),
+        ("pair-verify", "-n", "1", "r", "--center", "5", "--scale", "1e308"),
+        ("pair-verify", "-n", "1", "log(r)^150", "--center", "5", "--scale", "1e300"),
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 3
         assert payload["error"] == "EvalOverflowError"
+
+
+def test_non_finite_bump_and_scale_exit_code(capsys, monkeypatch):
+    # refused before any node is built
+    def refuse(*args):
+        raise AssertionError("quadrature nodes built for a non-finite input")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for argv, error in (
+        (("pair", "-n", "2", "r", "--center", "3", "0", "--width", "nan"), "NonPositiveScaleError"),
+        (("pair", "-n", "2", "r", "--center", "3", "0", "--width", "inf"), "NonPositiveScaleError"),
+        (("pair", "-n", "2", "r", "--center", "inf", "0"), "ValueError"),
+        (("pair", "-n", "2", "r", "--center", "nan", "0"), "ValueError"),
+        (("pair-verify", "-n", "2", "r", "--center", "3", "0", "--scale", "nan"), "NonPositiveScaleError"),
+        (("pair-verify", "-n", "2", "r", "--center", "3", "0", "--scale", "inf"), "NonPositiveScaleError"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"] == error
 
 
 def test_quadrature_limit_exit_code(capsys, monkeypatch):

@@ -1,5 +1,13 @@
-"""Quadrature pairings against independent integration oracles."""
+"""Quadrature pairings against independent integration oracles.
 
+`dense_pair` below is the full-grid pairing that the support-restricted
+`pair` replaced (Cartesian bump on every (radius, direction) node, complex
+grid, one einsum); it is kept, unchanged in its arithmetic, as the
+definition the new code must reproduce within 1e-12 of the integral of
+|F| phi.
+"""
+
+import cmath
 import math
 
 import numpy as np
@@ -8,11 +16,13 @@ import pytest
 from qahd import pairing
 from qahd.errors import (
     DimensionUnsupportedError,
+    EvalOverflowError,
     IntegrabilityError,
     NonPositiveScaleError,
     QuadratureLimitError,
 )
-from qahd.logform import AngularPart, LogForm
+from qahd.logform import AngularPart, CoeffArray, LogForm, power_table
+from qahd.operators import op_power
 from qahd.pairing import QuadratureSpec, TestFunction, pair, verify_pairing_identity
 
 
@@ -44,10 +54,20 @@ def test_bump_profile_and_support():
 
 
 def test_test_function_validation():
-    with pytest.raises(NonPositiveScaleError):
-        TestFunction(1, (0.0,), 0.0)
+    for width in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveScaleError):
+            TestFunction(1, (0.0,), width)
     with pytest.raises(ValueError):
         TestFunction(2, (1.0,), 1.0)
+    # a NaN centre would fail every cone test and pair to 0
+    for center in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)):
+        with pytest.raises(ValueError):
+            TestFunction(2, center, 1.0)
+    for a in (0.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveScaleError):
+            TestFunction(1, (5.0,), 1.0).scaled(a)
+    with pytest.raises(EvalOverflowError):
+        TestFunction(1, (5.0,), 1.0).scaled(1e308)
 
 
 def test_scaled_bump():
@@ -243,8 +263,9 @@ def test_change_of_variables_consistency():
 
 def test_identity_rejects_bad_inputs():
     phi = TestFunction(1, (5.0,), 1.0)
-    with pytest.raises(NonPositiveScaleError):
-        verify_pairing_identity(const_form(0, [1], 1), phi, -1.0)
+    for a in (-1.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveScaleError):
+            verify_pairing_identity(const_form(0, [1], 1), phi, a)
     with pytest.raises(ValueError):
         verify_pairing_identity(LogForm.zero(1), phi, 2.0)
 
@@ -259,3 +280,161 @@ def test_identity_scaled_support_integrability():
     # but a bump over the origin refuses
     with pytest.raises(IntegrabilityError):
         verify_pairing_identity(f, TestFunction(2, (0.0, 0.0), 1.0), 2.0)
+
+
+def test_pair_overflow_raises():
+    # 1e300 r^300 on [4, 6]: every term is finite until the radial factor
+    f = const_form(300, [1e300], 1)
+    with pytest.raises(EvalOverflowError):
+        pair(f, TestFunction(1, (5.0,), 1.0))
+    with pytest.raises(EvalOverflowError):
+        verify_pairing_identity(const_form(300, [1], 1), TestFunction(1, (5.0,), 1.0), 1e3)
+
+
+# --- reference: the dense full-grid pairing ---------------------------------
+
+def dense_pair(form, phi, spec):
+    """(value, integral of |F| phi) on the full (radius, direction) grid."""
+    n = phi.n
+    r_lo, r_hi = phi.support_radii()
+    nodes, w_r = np.polynomial.legendre.leggauss(spec.radial)
+    r = 0.5 * (r_hi - r_lo) * nodes + 0.5 * (r_hi + r_lo)
+    w_r = 0.5 * (r_hi - r_lo) * w_r
+    omega, w_a = pairing._angular_rule(n, spec)  # (Kd, n), (Kd,)
+
+    radial = np.exp((form.degree + (n - 1)) * np.log(r.astype(complex)))
+    grid = power_table(np.log(r), len(form.coeffs)) @ form.arrays().angular(omega).T
+    points = r[None, :, None] * omega.T[:, None, :]  # (n, Kr, Kd)
+    c = np.asarray(phi.center).reshape(n, 1, 1)
+    u2 = np.sum((points - c) ** 2, axis=0) / phi.width ** 2
+    bump = np.zeros(u2.shape)
+    inside = u2 < 1.0
+    bump[inside] = np.exp(-1.0 / (1.0 - u2[inside]))
+    integrand = grid * bump
+    value = complex(np.einsum("i,j,ij->", w_r * radial, w_a, integrand))
+    size = float(np.einsum("i,j,ij->", np.abs(w_r * radial), w_a, np.abs(integrand)))
+    return value, size
+
+
+def dense_identity(form, phi, a, spec):
+    """(lhs, lhs size, rhs, rhs size) of the pairing identity, densely."""
+    lhs, lhs_size = dense_pair(form, phi.scaled(a), spec)
+    la = math.log(a)
+    amp = cmath.exp(complex(form.degree + phi.n) * la)
+    rhs, rhs_size = dense_pair(form, phi, spec)
+    for r in range(1, form.order + 1):
+        member = op_power("euler_minus_lambda", r, form).scale(1.0 / math.factorial(r))
+        term, size = dense_pair(member, phi, spec)
+        rhs += la ** r * term
+        rhs_size += abs(la) ** r * size
+    return lhs, lhs_size, amp * rhs, abs(amp) * rhs_size
+
+
+def atom_form(rng, n, k, lam, atoms):
+    """A form of order <= k whose h_0..h_k hold `atoms` random atoms."""
+    parts = [{} for _ in range(k + 1)]
+    for i in range(atoms):
+        alpha = tuple(int(v) for v in rng.multinomial(int(rng.integers(0, 5)), [1.0 / n] * n))
+        c = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        parts[i % (k + 1)][alpha] = parts[i % (k + 1)].get(alpha, 0) + c
+    return LogForm.make(n, lam, [AngularPart(n, coeffs) for coeffs in parts])
+
+
+def bump_at(rng, n, ratio, width):
+    """A bump of the given width whose centre lies ratio * width from 0."""
+    v = rng.normal(size=n)
+    return TestFunction(n, tuple(ratio * width * v / np.linalg.norm(v)), width)
+
+
+def pairing_cases():
+    """(form, bump, spec): away, around and |c| = w bumps, n 1..3, 16-128 nodes."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n in (1, 2, 3):
+        for i, nodes in enumerate((16, 32, 64, 128)):
+            spec = QuadratureSpec(nodes, nodes)
+            k = i % 3
+            atoms = int(rng.integers(4, 41))
+            width = rng.uniform(0.5, 2.0)
+            for ratio in (1.05, 1.6, 4.0, 20.0):
+                lam = complex(rng.uniform(-3, 2), rng.uniform(-1, 1))
+                cases.append((atom_form(rng, n, k, lam, atoms), bump_at(rng, n, ratio, width), spec))
+            for ratio in (0.0, 0.5, 0.9):
+                lam = complex(rng.uniform(1.3 - n, 2), rng.uniform(-1, 1))
+                cases.append((atom_form(rng, n, k, lam, atoms), bump_at(rng, n, ratio, width), spec))
+    # |c| = w exactly: the origin on the boundary of the support
+    for center, width in (((1.5,), 1.5), ((3.0, 4.0), 5.0), ((2.0, 3.0, 6.0), 7.0)):
+        n = len(center)
+        phi = TestFunction(n, center, width)
+        assert phi.contains_origin() and math.sqrt(sum(v * v for v in center)) == width
+        cases.append((atom_form(rng, n, 2, complex(0.5, 0.3), 12), phi, QuadratureSpec(32, 32)))
+    # a cone narrower than the direction spacing and between two directions
+    angle = math.pi / 16
+    phi = TestFunction(2, (20.0 * math.cos(angle), 20.0 * math.sin(angle)), 1.0)
+    cases.append((atom_form(rng, 2, 1, complex(-1, 0), 10), phi, QuadratureSpec(16, 16)))
+    return cases
+
+
+def test_pair_matches_dense_reference():
+    for form, phi, spec in pairing_cases():
+        got = pair(form, phi, spec)
+        want, size = dense_pair(form, phi, spec)
+        assert abs(got - want) <= 1e-12 * size, (form.n, phi, spec)
+    # the narrow cone meets no direction: both give exactly 0
+    assert size == 0.0 and got == 0
+
+
+def test_identity_matches_dense_reference():
+    for form, phi, spec in pairing_cases()[::3]:
+        a = 0.7 if phi.contains_origin() else 1.9
+        rep = verify_pairing_identity(form, phi, a, spec)
+        lhs, lhs_size, rhs, rhs_size = dense_identity(form, phi, a, spec)
+        got_lhs = complex(rep["lhs"]["re"], rep["lhs"]["im"])
+        got_rhs = complex(rep["rhs"]["re"], rep["rhs"]["im"])
+        assert abs(got_lhs - lhs) <= 1e-12 * lhs_size
+        assert abs(got_rhs - rhs) <= 1e-12 * rhs_size
+        residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+        assert rep["verdict"] == bool(residual < pairing.DEFAULT_PAIR_TOLERANCE)
+
+
+def test_pair_evaluates_only_directions_meeting_the_support(monkeypatch):
+    seen = []
+    angular = CoeffArray.angular
+
+    def spy(self, omega):
+        seen.append(np.array(omega))
+        return angular(self, omega)
+
+    monkeypatch.setattr(CoeffArray, "angular", spy)
+    phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
+    spec = QuadratureSpec(128, 128)
+    pair(const_form(0, [1, 1], 3), phi, spec)
+    omega, _ = pairing._angular_rule(3, spec)
+    # the ray {t omega : t >= 0} meets the open ball iff omega points toward
+    # the centre and its line passes closer to it than the width
+    c = np.array(phi.center)
+    meets = (omega @ c > 0) & (np.sum(np.cross(omega, c) ** 2, axis=1) < phi.width ** 2)
+    (got,) = seen
+    assert len(omega) == 8192
+    assert np.array_equal(got, omega[meets])
+    assert 0 < len(got) < 0.15 * len(omega)
+
+
+def test_identity_builds_one_rule(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    form = const_form(0, [1, 1, 1], 3)  # k = 2: four pairings
+    phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
+    assert verify_pairing_identity(form, phi, 2.0)["verdict"]
+    assert sorted(calls) == [32, 64]  # polar and radial, once each
+    # the rule lives with the spec: a second check with it builds nothing
+    spec = QuadratureSpec(16, 32)
+    for a in (0.5, 2.0):
+        verify_pairing_identity(form, phi, a, spec)
+    assert sorted(calls[2:]) == [16, 16]
