@@ -8,7 +8,7 @@ is no environment-variable configuration.
 from __future__ import annotations
 
 import argparse
-import re
+import functools
 import sys
 
 from . import _json, identify, operators, pairing, spectral
@@ -31,7 +31,7 @@ from .errors import (
     UndefinedDegreeError,
     ZeroInputError,
 )
-from .expr import eval_expr, parse, render
+from .expr import eval_expr, parse, parse_complex, render
 from .logform import MultiForm, canonicalize
 
 INPUT_ERRORS = (
@@ -51,23 +51,6 @@ INPUT_ERRORS = (
     ValueError,
 )
 NUMERIC_ERRORS = (NoFitError, RootSplitError, AliasRiskError)
-
-_COMPLEX_RE = re.compile(
-    r"^\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"(?:\s*([+-])\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)i)?\s*$"
-)
-
-
-def parse_complex(text: str) -> complex:
-    m = _COMPLEX_RE.match(text)
-    if m is None:
-        raise ValueError(f"cannot parse complex number {text!r} (use 'a' or 'a+bi')")
-    re_part = float(m.group(1))
-    if m.group(2) is None:
-        return complex(re_part)
-    sign = -1.0 if m.group(2) == "-" else 1.0
-    return complex(re_part, sign * float(m.group(3)))
-
 
 def _emit(args, payload) -> None:
     if args.format == "json":
@@ -116,16 +99,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_op(text: str):
+def _parse_op(text: str, a):
+    """The operation named by --op, as a function of the form."""
+    # operators are looked up at call time, so that wrapping them takes effect
     if text == "euler":
-        return ("euler",)
+        return operators.euler
     if text.startswith("dilate="):
-        return ("dilate", float(text[len("dilate="):]))
+        scale = float(text[len("dilate="):])
+        return lambda form: operators.dilate(form, scale)
     if text.startswith("delta="):
         payload = text[len("delta="):].split(",")
         if len(payload) != 2:
             raise ValueError("expected delta=A,LAMBDA")
-        return ("delta", float(payload[0]), parse_complex(payload[1]))
+        scale, lam = float(payload[0]), parse_complex(payload[1])
+        return lambda form: operators.delta(form, scale, lam)
     if text.startswith("power="):
         payload = text[len("power="):].split(",")
         if len(payload) != 2:
@@ -133,31 +120,21 @@ def _parse_op(text: str):
         kind, m = payload[0], int(payload[1])
         if kind not in ("euler_minus_lambda", "delta_a"):
             raise ValueError(f"unknown power kind {kind!r}")
-        return ("power", kind, m)
+
+        def power(form):
+            # the zero form has no component, so it needs no --a
+            if kind == "delta_a" and a is None:
+                raise ValueError("power=delta_a,M needs --a")
+            return operators.op_power(kind, m, form, a=a)
+
+        return power
     raise ValueError(f"unknown operation {text!r}")
 
 
 def _cmd_apply(args) -> int:
     m = _canon(args)
-    op = _parse_op(args.op)
-    out = []
-    for form in m.components() or (None,):
-        if form is None:
-            break
-        if op[0] == "euler":
-            out.append(operators.euler(form))
-        elif op[0] == "dilate":
-            out.append(operators.dilate(form, op[1]))
-        elif op[0] == "delta":
-            out.append(operators.delta(form, op[1], op[2]))
-        else:
-            _, kind, power = op
-            if kind == "delta_a" and args.a is None:
-                raise ValueError("power=delta_a,M needs --a")
-            out.append(
-                operators.op_power(kind, power, form, a=args.a)
-            )
-    result = MultiForm(args.n, out)
+    op = _parse_op(args.op, args.a)
+    result = MultiForm(args.n, [op(form) for form in m.components()])
     _emit(args, result.to_dict())
     return 0
 
@@ -283,7 +260,9 @@ def _cmd_identify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="qahd",
         description="Symbolic-numeric engine for quasi-associated homogeneous "

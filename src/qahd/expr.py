@@ -73,10 +73,20 @@ Expression = Union[Constant, Variable, Radius, LogRadius, Sum, Product, Power, N
 RADIUS = Radius()
 LOG_RADIUS = LogRadius()
 
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+
+# A real or complex literal.  The DSL reads it between parentheses, as one
+# token; the CLI reads --degree, --lambda and delta=A,LAMBDA with it.
+_LITERAL = (
+    rf"(?P<sign>[+-]?)\s*(?P<re>{_NUMBER})"
+    rf"(?:\s*(?P<im_sign>[+-])\s*(?P<im>{_NUMBER})\s*i)?"
+)
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<literal>\(\s*{_LITERAL}\s*\))
+  | (?P<number>{_NUMBER})
   | (?P<var>x\d+)
   | (?P<log>log)
   | (?P<r>r)
@@ -86,20 +96,49 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# how far the text after a '(' reads as a literal, to place an error; only
+# malformed input needs it, so it is compiled on first use
+_LITERAL_PREFIX = (
+    rf"\(\s*(?:[+-]\s*)?(?:{_NUMBER}\s*(?:[+-]\s*(?:(?P<im>{_NUMBER})\s*(?P<i>i\s*)?)?)?)?"
+)
+
+_BARE_LITERAL_RE = re.compile(rf"\s*{_LITERAL}\s*")
+
+_BASE_EXPECTED = ("NUMBER", "r", "log(r)", "VAR", "(")
+
+
+def _literal_value(m: re.Match) -> complex:
+    """The value of a literal match; a part that overflows gives inf."""
+    re_part = float(m["sign"] + m["re"])
+    if m["im"] is None:
+        return complex(re_part)
+    return complex(re_part, float(m["im_sign"] + m["im"]))
+
+
+def parse_complex(text: str) -> complex:
+    """Read 'a', 'a+bi' or 'a-bi' with the DSL's literal grammar."""
+    m = _BARE_LITERAL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"cannot parse complex number {text!r} (use 'a' or 'a+bi')")
+    value = _literal_value(m)
+    if cmath.isinf(value):
+        raise ValueError(f"complex number {text!r} is out of the floating-point range")
+    return value
+
 
 def _tokenize(text):
+    """(kind, text, start, literal match or None) per token, then an eof token."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos, m if kind == "literal" else None))
+        pos = m.end()
+    tokens.append(("eof", "", len(text), None))
     return tokens
 
 
@@ -107,6 +146,7 @@ class _Parser:
     """Recursive descent over the fixed grammar (precedence: ^, unary -, */, +-)."""
 
     def __init__(self, text, n):
+        self.text = text
         self.tokens = _tokenize(text)
         self.n = n
         self.pos = 0
@@ -120,7 +160,7 @@ class _Parser:
         return tok
 
     def expect(self, value, expected):
-        kind, text, start = self.peek()
+        _, text, start, _ = self.peek()
         if text != value:
             raise ExprSyntaxError(
                 f"expected {expected}, found {text or 'end of input'!r}",
@@ -128,6 +168,16 @@ class _Parser:
                 (expected,),
             )
         return self.advance()
+
+    def literal(self) -> complex:
+        """Consume a number or literal token and return its value, which is finite."""
+        kind, text, start, m = self.advance()
+        value = complex(float(text)) if kind == "number" else _literal_value(m)
+        if cmath.isinf(value):
+            raise ExprSyntaxError(
+                f"literal {text!r} is out of the floating-point range", start
+            )
+        return value
 
     # expr := term (("+"|"-") term)*
     def parse_expr(self):
@@ -142,7 +192,7 @@ class _Parser:
     def parse_term(self):
         factors = [self.parse_factor()]
         while self.peek()[1] in ("*", "/"):
-            op, _, start = self.advance()[1], None, self.tokens[self.pos - 1][2]
+            _, op, start, _ = self.advance()
             factor = self.parse_factor()
             if op == "/":
                 factor = self._invert(factor, start)
@@ -179,15 +229,30 @@ class _Parser:
         return base
 
     def parse_base(self):
-        kind, text, start = self.peek()
+        kind, text, start, m = self.peek()
         if kind == "number":
-            self.advance()
-            return Constant(complex(float(text)))
+            return Constant(self.literal())
+        if kind == "literal":
+            # a real '(-x)' or '(+x)' reads as '(' expr ')': the negation of x,
+            # or an error at the '+', which starts no base
+            sign = m["sign"] if m["im"] is None else ""
+            if sign == "+":
+                raise ExprSyntaxError(
+                    "expected a base expression, found '+'", m.start("sign"), _BASE_EXPECTED
+                )
+            value = self.literal()
+            return Negate(Constant(complex(-value.real))) if sign else Constant(value)
         if kind == "r":
             self.advance()
             return RADIUS
         if kind == "log":
             self.advance()
+            m = self.peek()[3]
+            if m is not None:
+                # in 'log(2)' the literal's '(' is log's own, and what it holds is no 'r'
+                raise ExprSyntaxError(
+                    f"expected 'r', found {m['sign'] or m['re']!r}", m.start("sign"), ("'r'",)
+                )
             self.expect("(", "'('")
             self.expect("r", "'r'")
             self.expect(")", "')'")
@@ -202,82 +267,32 @@ class _Parser:
             return Variable(index)
         if text == "(":
             self.advance()
-            value = self._try_complex_literal()
-            if value is not None:
-                return Constant(value)
             inner = self.parse_expr()
             self.expect(")", "')'")
             return inner
         raise ExprSyntaxError(
             f"expected a base expression, found {text or 'end of input'!r}",
             start,
-            ("NUMBER", "r", "log(r)", "VAR", "("),
+            _BASE_EXPECTED,
         )
 
-    def _try_complex_literal(self):
-        """Recognize '(a+bi)' after the opening paren was consumed; backtracks."""
-        saved = self.pos
-        try:
-            re_part = self._signed_number()
-            if self.peek()[1] not in ("+", "-"):
-                raise NonLiteralExponentError("not a complex literal")
-            sign = -1.0 if self.advance()[1] == "-" else 1.0
-            if self.peek()[0] != "number":
-                raise NonLiteralExponentError("not a complex literal")
-            im_part = sign * float(self.advance()[1])
-            if self.peek()[0] != "i":
-                raise NonLiteralExponentError("not a complex literal")
-            self.advance()
-            if self.peek()[1] != ")":
-                raise NonLiteralExponentError("not a complex literal")
-            self.advance()
-            return complex(re_part, im_part)
-        except (NonLiteralExponentError, ExprSyntaxError):
-            self.pos = saved
-            return None
-
-    # exponent := NUMBER | "(" SIGNED ( ("+"|"-") NUMBER "i" )? ")"
+    # exponent := NUMBER | LITERAL
     def parse_exponent(self):
-        kind, text, start = self.peek()
-        if kind == "number":
-            self.advance()
-            return complex(float(text))
+        kind, text, start, _ = self.peek()
+        if kind == "number" or kind == "literal":
+            return self.literal()
+        pos = start
         if text == "(":
-            self.advance()
-            re_part = self._signed_number()
-            kind, text, start = self.peek()
-            if text == ")":
-                self.advance()
-                return complex(re_part)
-            if text in ("+", "-"):
-                sign = -1.0 if text == "-" else 1.0
-                self.advance()
-                kind, text, start = self.peek()
-                if kind != "number":
-                    raise NonLiteralExponentError(
-                        f"exponent must be a numeric literal (position {start})"
-                    )
-                im_part = sign * float(self.advance()[1])
-                self.expect("i", "'i'")
-                self.expect(")", "')'")
-                return complex(re_part, im_part)
-            raise NonLiteralExponentError(
-                f"exponent must be a numeric literal (position {start})"
-            )
+            head = re.compile(_LITERAL_PREFIX).match(self.text, start)
+            pos = head.end()
+            if head["im"] is not None:
+                want = "')'" if head["i"] else "'i'"
+                raise ExprSyntaxError(
+                    f"expected {want} to close the complex literal", pos, (want,)
+                )
         raise NonLiteralExponentError(
-            f"exponent must be a numeric literal (position {start})"
+            f"exponent must be a numeric literal (position {pos})"
         )
-
-    def _signed_number(self):
-        sign = 1.0
-        if self.peek()[1] in ("+", "-"):
-            sign = -1.0 if self.advance()[1] == "-" else 1.0
-        kind, text, start = self.peek()
-        if kind != "number":
-            raise NonLiteralExponentError(
-                f"exponent must be a numeric literal (position {start})"
-            )
-        return sign * float(self.advance()[1])
 
 
 def parse(text: str, n: int) -> Expression:
@@ -286,7 +301,7 @@ def parse(text: str, n: int) -> Expression:
         raise DimensionError(f"dimension must be >= 1, got {n}")
     parser = _Parser(text, n)
     tree = parser.parse_expr()
-    kind, tok, start = parser.peek()
+    kind, tok, start, _ = parser.peek()
     if kind != "eof":
         raise ExprSyntaxError(f"trailing input {tok!r}", start)
     return tree
@@ -309,39 +324,26 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
+def _fmt_complex(c: complex) -> str:
+    sign = "+" if c.imag >= 0 else "-"
+    return f"({_fmt_num(c.real)}{sign}{_fmt_num(abs(c.imag))}i)"
+
+
 def _fmt_signed_exponent(c: complex) -> str:
     if c.imag == 0:
         if c.real >= 0:
             return _fmt_num(c.real)
         return f"({_fmt_num(c.real)})"
-    sign = "+" if c.imag >= 0 else "-"
-    return f"({_fmt_num(c.real)}{sign}{_fmt_num(abs(c.imag))}i)"
-
-
-def _prec(e) -> int:
-    if isinstance(e, Sum):
-        return _FMT_SUM
-    if isinstance(e, Product):
-        return _FMT_TERM
-    if isinstance(e, Negate):
-        return _FMT_UNARY
-    if isinstance(e, Power):
-        return _FMT_POWER
-    if isinstance(e, Constant) and (e.value.imag != 0 or e.value.real < 0):
-        return _FMT_UNARY
-    return _FMT_ATOM
+    return _fmt_complex(c)
 
 
 def _render(e, min_prec) -> str:
     if isinstance(e, Constant):
         v = e.value
-        if v.imag == 0:
-            s = _fmt_num(v.real) if v.real >= 0 else f"-{_fmt_num(-v.real)}"
-        else:
-            sign = "+" if v.imag >= 0 else "-"
-            s = f"({_fmt_num(v.real)}{sign}{_fmt_num(abs(v.imag))}i)"
-            return s
-        return f"({s})" if _prec(e) < min_prec else s
+        if v.imag == 0 and v.real >= 0:
+            return _fmt_num(v.real)
+        # '-x' would read back as Negate(x): only the literal gives this constant
+        return _fmt_complex(v)
     if isinstance(e, Variable):
         return f"x{e.index}"
     if isinstance(e, Radius):

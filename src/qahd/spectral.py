@@ -38,9 +38,6 @@ class DilationMatrix:
     lam: complex
     entries: np.ndarray
 
-    def array(self) -> np.ndarray:
-        return self.entries
-
     def to_dict(self) -> dict:
         rows = []
         for i in range(self.size):

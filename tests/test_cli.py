@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qahd import cli
 from qahd.cli import parse_complex, run
 
 
@@ -24,8 +25,46 @@ def test_parse_complex():
     assert parse_complex("-1.5") == -1.5
     assert parse_complex("2+3i") == complex(2, 3)
     assert parse_complex("0.5-2e-1i") == complex(0.5, -0.2)
-    with pytest.raises(ValueError):
-        parse_complex("2+3j")
+    # the DSL's number rule and spacing
+    assert parse_complex(".5") == 0.5
+    assert parse_complex("1.") == 1
+    assert parse_complex("2+3 i") == complex(2, 3)
+    assert parse_complex(" -1 - 2.5i ") == complex(-1, -2.5)
+    for text in ("2+3j", "1e400", "1-1e400i", "i", "2i", "(1+2i)", "1+i", ""):
+        with pytest.raises(ValueError):
+            parse_complex(text)
+
+
+def test_non_finite_literal_exit_code(capsys):
+    for argv in (
+        ("parse", "1e400"),
+        ("classify", "1e400"),
+        ("classify", "r^(1e400)"),
+        ("verify", "-n", "1", "r", "--degree", "1e400", "--order", "0"),
+        ("matrix", "--a", "2", "--lambda", "1e400", "--size", "2"),
+        ("apply", "log(r)", "--op", "delta=2,1-1e400i"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 2, argv
+        assert payload["error"] in ("ExprSyntaxError", "ValueError")
+
+
+def test_parser_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run(["parse", "r"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def test_reused_parser_keeps_defaults(capsys):
+    argv = ["verify", "-n", "1", "log(r)", "--degree", "0", "--order", "1"]
+    code, payload = invoke_json(capsys, *argv, "--a-samples", "2", "3")
+    assert code == 0
+    assert payload["a_samples"] == [2.0, 3.0]
+    code, payload = invoke_json(capsys, *argv)
+    assert code == 0
+    assert payload["a_samples"] == pytest.approx([0.5, 2 / 3, np.e, np.pi, 10])
 
 
 def test_parse_roundtrip(capsys):
@@ -181,6 +220,11 @@ def test_apply_power_delta_needs_a(capsys):
     )
     assert code == 2
     assert payload["error"] == "ValueError"
+    assert "--a" in payload["message"]
+    # the zero form has no component to apply it to
+    code, payload = invoke_json(capsys, "apply", "0", "--op", "power=delta_a,2")
+    assert code == 0
+    assert payload == [{"n": 1, "zero": True, "coeffs": [[]]}]
 
 
 def test_apply_bad_op(capsys):

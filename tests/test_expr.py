@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qahd.errors import (
     DimensionError,
@@ -13,7 +15,9 @@ from qahd.errors import (
     OriginError,
 )
 from qahd.expr import (
+    Constant,
     LogRadius,
+    Negate,
     Power,
     Product,
     Radius,
@@ -85,6 +89,11 @@ def test_render_negative_and_complex_exponents():
     assert render(parse("r^(-2)", 1)) == "r^(-2)"
     assert render(parse("r^(1-2i)", 1)) == "r^(1-2i)"
     assert parse(render(parse("r^(1-2i)", 1)), 1) == parse("r^(1-2i)", 1)
+    # a negative real constant only comes from a literal, and prints as one
+    for text in ("(-1+0i)", "-(-1+0i)", "x1 * (-2-0i)", "(-3+0i)^2", "r / (-2+0i)"):
+        tree = parse(text, 1)
+        assert parse(render(tree), 1) == tree, text
+    assert render(parse("(-1+0i)", 1)) == "(-1+0i)"
 
 
 def test_eval_pythagorean_point():
@@ -185,3 +194,105 @@ def test_round_trip_random_sample():
         text = gen.expr()
         tree = parse(text, 3)
         assert parse(render(tree), 3) == tree
+
+
+# text -> the tree, or (the exception class, its position for syntax errors)
+LITERAL_TABLE = [
+    ("(1+2i)", Constant(complex(1, 2))),
+    ("( 1 + 2 i )", Constant(complex(1, 2))),
+    ("(-1.5)", Negate(Constant(complex(1.5)))),
+    ("(+2)", (ExprSyntaxError, 1)),
+    ("(2)^2", Power(Constant(complex(2)), complex(2))),
+    ("r^(+2)", Power(Radius(), complex(2))),
+    ("r^(1-2i)", Power(Radius(), complex(1, -2))),
+    ("r^-1", (NonLiteralExponentError, None)),
+    ("r^(x1)", (NonLiteralExponentError, None)),
+    ("(1+2i", (ExprSyntaxError, 4)),
+    ("2i", (ExprSyntaxError, 1)),
+    ("r^x1 + 2i", (NonLiteralExponentError, None)),
+    ("r^(1+2)", (ExprSyntaxError, 6)),
+    ("r^(1+2i x1)", (ExprSyntaxError, 8)),
+    # log's '(' opens no literal: the error is at what follows it
+    ("log(2)", (ExprSyntaxError, 4)),
+    ("log( -1.5)", (ExprSyntaxError, 5)),
+    # a literal that overflows to inf is refused where it stands
+    ("1e400", (ExprSyntaxError, 0)),
+    ("r^1e400", (ExprSyntaxError, 2)),
+    ("r^(1e400)", (ExprSyntaxError, 2)),
+    ("r^(1-1e400i)", (ExprSyntaxError, 2)),
+    ("x1*(1e400+1i)", (ExprSyntaxError, 3)),
+    ("r/ (-1e400)", (ExprSyntaxError, 3)),
+]
+
+
+@pytest.mark.parametrize("text, want", LITERAL_TABLE)
+def test_literal_table(text, want):
+    if not isinstance(want, tuple):
+        # repr also tells the signed zeros apart, which evaluation can see
+        assert repr(parse(text, 1)) == repr(want)
+        return
+    error, position = want
+    with pytest.raises(error) as err:
+        parse(text, 1)
+    assert type(err.value) is error
+    if position is not None:
+        assert err.value.position == position
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_NUMBER = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 1e6).map(repr),
+    st.sampled_from([".5", "1.", "2.50", "1e3", "1E-2", "0.0", "007", ".25e+2"]),
+)
+
+
+@st.composite
+def _literal(draw, real_sign=("", "-", "- ")):
+    """A parenthesised literal; '+' leads only a complex one, as in a base."""
+    imag = draw(st.booleans())
+    sign = draw(st.sampled_from(("", "-", "+", "- ", "+ ") if imag else real_sign))
+    body = sign + draw(_NUMBER)
+    if imag:
+        body += "".join([
+            draw(_SPACE), draw(st.sampled_from("+-")), draw(_SPACE),
+            draw(_NUMBER), draw(_SPACE), "i",
+        ])
+    return f"({draw(_SPACE)}{body}{draw(_SPACE)})"
+
+
+_EXPONENT = st.one_of(_NUMBER, _literal(real_sign=("", "-", "+", "- ")))
+_DIVISOR = st.sampled_from(["r", "x1", "x2^2", "r^(1-2i)", "x1^( - .5)"])
+
+
+@st.composite
+def _dsl(draw, depth=0):
+    """DSL text rich in literals: paren literals, complex exponents, spaces."""
+    bases = [_NUMBER, _literal(), st.sampled_from(["r", "log(r)", "x1", "x2"])]
+    if depth < 2:
+        bases.append(_dsl(depth + 1).map(lambda t: f"({t})"))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for k in range(draw(st.integers(1, 3))):
+            if k and draw(st.booleans()):
+                factors.append("/" + draw(_SPACE) + draw(_DIVISOR))
+                continue
+            f = draw(st.one_of(*bases))
+            if draw(st.booleans()):
+                f += draw(_SPACE) + "^" + draw(_SPACE) + draw(_EXPONENT)
+            if draw(st.integers(0, 4)) == 0:
+                f = "-" + f
+            factors.append(("*" + draw(_SPACE) if k else "") + f)
+        terms.append(draw(_SPACE).join(factors))
+    return "".join(
+        t if k == 0 else draw(st.sampled_from([" + ", "-", " - ", "+"])) + t
+        for k, t in enumerate(terms)
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_dsl())
+def test_render_round_trip_property(text):
+    tree = parse(text, 2)
+    assert parse(render(tree), 2) == tree
