@@ -14,6 +14,7 @@ from .errors import (
     EvalOverflowError,
     ExpansionLimitError,
     ExprSyntaxError,
+    InputError,
     InsufficientSamplesError,
     IntegrabilityError,
     NoFitError,

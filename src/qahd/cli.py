@@ -1,8 +1,9 @@
 """Command-line surface: one verb per operation, machine-readable reports.
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage or input
-errors, 3 numerical failures.  All randomness is seeded from --seed; there
-is no environment-variable configuration.
+errors (`InputError`, `ValueError`), 3 numerical failures (any other
+`QahdError`).  All randomness is seeded from --seed; there is no
+environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -12,45 +13,10 @@ import functools
 import sys
 
 from . import _json, identify, operators, pairing, spectral
-from .errors import (
-    AliasRiskError,
-    DimensionError,
-    DimensionUnsupportedError,
-    ExpansionLimitError,
-    ExprSyntaxError,
-    InsufficientSamplesError,
-    IntegrabilityError,
-    NoFitError,
-    NonLiteralExponentError,
-    NonPositiveScaleError,
-    NotInClassError,
-    OriginError,
-    QahdError,
-    QuadratureLimitError,
-    RootSplitError,
-    UndefinedDegreeError,
-    ZeroInputError,
-)
+from .errors import InputError, QahdError, ZeroInputError, check_finite
 from .expr import eval_expr, parse, parse_complex, render
 from .logform import MultiForm, canonicalize
 
-INPUT_ERRORS = (
-    ExprSyntaxError,
-    DimensionError,
-    NonLiteralExponentError,
-    NotInClassError,
-    ExpansionLimitError,
-    ZeroInputError,
-    NonPositiveScaleError,
-    OriginError,
-    UndefinedDegreeError,
-    IntegrabilityError,
-    DimensionUnsupportedError,
-    QuadratureLimitError,
-    InsufficientSamplesError,
-    ValueError,
-)
-NUMERIC_ERRORS = (NoFitError, RootSplitError, AliasRiskError)
 
 def _emit(args, payload) -> None:
     if args.format == "json":
@@ -78,6 +44,16 @@ def _emit_text(obj, depth) -> None:
 def _canon(args) -> MultiForm:
     tree = parse(args.expr, args.n)
     return canonicalize(tree, args.n)
+
+
+def _single_form(args, verb: str):
+    """The one component of the expression, or None for the zero form."""
+    m = _canon(args)
+    if m.is_zero:
+        return None
+    if len(m.components()) != 1:
+        raise ValueError(f"{verb} expects a single-degree expression")
+    return m.components()[0]
 
 
 def _cmd_parse(args) -> int:
@@ -158,12 +134,9 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    m = _canon(args)
-    if m.is_zero:
+    form = _single_form(args, "verify")
+    if form is None:
         raise ZeroInputError("verification of the zero form")
-    if len(m.components()) != 1:
-        raise ValueError("verify expects a single-degree expression")
-    form = m.components()[0]
     lam = parse_complex(args.degree)
     report = operators.verify_qahd(
         form, lam, args.order, tuple(args.a_samples), seed=args.seed
@@ -185,19 +158,10 @@ def _mk_testfn(args) -> pairing.TestFunction:
     return pairing.TestFunction(args.n, center, args.width)
 
 
-def _single_form(args):
-    m = _canon(args)
-    if m.is_zero:
-        return None
-    if len(m.components()) != 1:
-        raise ValueError("pairing expects a single-degree expression")
-    return m.components()[0]
-
-
 def _cmd_pair(args) -> int:
     phi = _mk_testfn(args)
     spec = pairing.QuadratureSpec(args.kr, args.kw)
-    form = _single_form(args)
+    form = _single_form(args, "pairing")
     value = complex(0) if form is None else pairing.pair(form, phi, spec)
     _emit(
         args,
@@ -214,7 +178,7 @@ def _cmd_pair(args) -> int:
 def _cmd_pair_verify(args) -> int:
     phi = _mk_testfn(args)
     spec = pairing.QuadratureSpec(args.kr, args.kw)
-    form = _single_form(args)
+    form = _single_form(args, "pairing")
     if form is None:
         raise ZeroInputError("pairing identity needs a nonzero form")
     report = pairing.verify_pairing_identity(
@@ -235,6 +199,7 @@ def _cmd_identify(args) -> int:
             raise ValueError(f"--x0 needs {args.n} components")
         series = identify.sample_ray(f, tuple(args.x0), args.delta, args.M)
         lam, k, coeffs, residual = identify.prony_recover(series, args.kmax)
+        check_finite(coeffs, "ray polynomial")
         payload = {
             "x0": list(series.x0),
             "delta": series.delta,
@@ -360,9 +325,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except NUMERIC_ERRORS as exc:
-        return _fail(exc, 3)
-    except INPUT_ERRORS as exc:
+    except (InputError, ValueError) as exc:
         return _fail(exc, 2)
     except QahdError as exc:
         return _fail(exc, 3)

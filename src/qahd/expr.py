@@ -21,6 +21,7 @@ from .errors import (
     ExprSyntaxError,
     NonLiteralExponentError,
     OriginError,
+    check_finite,
 )
 
 # ---------------------------------------------------------------------------
@@ -386,9 +387,11 @@ def render(e: Expression) -> str:
 
 def radii(points: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (m, n) array, summed in index order."""
-    sq = points[:, 0] * points[:, 0]
-    for i in range(1, points.shape[1]):
-        sq = sq + points[:, i] * points[:, i]
+    with np.errstate(over="ignore"):
+        sq = points[:, 0] * points[:, 0]
+        for i in range(1, points.shape[1]):
+            sq = sq + points[:, i] * points[:, i]
+    check_finite(sq, "evaluation")
     return np.sqrt(sq)
 
 
@@ -405,13 +408,8 @@ def eval_expr(e: Expression, x):
     with np.errstate(all="ignore"):
         value = _eval(e, points.astype(complex), r.astype(complex), np.log(r).astype(complex))
     values = value if isinstance(value, np.ndarray) else np.full(r.size, value)
-    _check_finite(values)
+    check_finite(values, "evaluation")
     return complex(values[0]) if np.ndim(x) == 1 else values
-
-
-def _check_finite(value) -> None:
-    if not np.isfinite(value).all():
-        raise EvalOverflowError("evaluation overflowed the floating-point range")
 
 
 def _eval(e, cols, r, ln_r):
@@ -446,7 +444,7 @@ def _eval(e, cols, r, ln_r):
         if c.real <= 0:
             # 1/inf and inf^0 are finite: an overflow in the base would vanish
             # here, while anywhere else it reaches the checked result
-            _check_finite(b)
+            check_finite(b, "evaluation")
         integral = c.imag == 0 and c.real.is_integer()
         if integral and c.real < 0 and np.any(b == 0):
             raise EvalOverflowError("zero base with negative exponent")
@@ -455,10 +453,8 @@ def _eval(e, cols, r, ln_r):
                 if integral:
                     return b ** int(c.real)
                 return cmath.exp(c * cmath.log(b)) if b != 0 else complex(0)
-            except OverflowError:
-                raise EvalOverflowError(
-                    "evaluation overflowed the floating-point range"
-                ) from None
+            except (OverflowError, ValueError):  # ValueError: an infinite exponent
+                return complex(cmath.inf)  # reported by eval_expr's check
         if integral:
             return b ** int(c.real)
         zero = b == 0

@@ -17,10 +17,12 @@ import numpy as np
 
 from .errors import (
     AliasRiskError,
+    EvalOverflowError,
     InsufficientSamplesError,
     NoFitError,
     OriginError,
     RootSplitError,
+    check_finite,
 )
 
 FIT_RESIDUAL_FACTOR = 1e-9
@@ -48,17 +50,36 @@ def sample_ray(f: Callable, x0, delta: float, count: int) -> SampleSeries:
     x0 = tuple(float(c) for c in x0)
     if all(c == 0.0 for c in x0):
         raise OriginError("ray base point must be nonzero")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not all(math.isfinite(c) for c in x0):
+        raise ValueError("ray base point must be finite")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if count < 3:
         raise InsufficientSamplesError("need at least 3 samples")
-    scales = np.array([math.exp(m * delta) for m in range(count)])
-    values = np.asarray(f(np.outer(scales, x0)))
+    try:
+        scales = np.array([math.exp(m * delta) for m in range(count)])
+    except OverflowError:
+        raise EvalOverflowError("ray scale overflowed the floating-point range") from None
+    with np.errstate(over="ignore"):
+        points = np.outer(scales, x0)
+    check_finite(points, "ray point")
+    values = np.asarray(f(points))
     if values.shape != (count,):
         raise ValueError(
             f"ray function returned shape {values.shape}, expected ({count},)"
         )
     return SampleSeries(x0, float(delta), tuple(complex(v) for v in values.tolist()))
+
+
+def random_direction(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, float]:
+    """A standard normal draw v (n,) of norm at least 1e-6, and that norm;
+    v / norm is uniform on the sphere."""
+    v = rng.normal(size=n)
+    norm = float(np.linalg.norm(v))
+    while norm < 1e-6:
+        v = rng.normal(size=n)
+        norm = float(np.linalg.norm(v))
+    return v, norm
 
 
 def binomial_annihilation_weights(order: int) -> Tuple[int, ...]:
@@ -104,7 +125,9 @@ def prony_recover(series: SampleSeries, k_max: int):
 
     Tries recurrence orders p = 1..k_max+1 and keeps the first that fits;
     requires the characteristic polynomial to be a single root cluster
-    (z - zbar)^p, detected on coefficients for numerical stability.
+    (z - zbar)^p, detected on coefficients for numerical stability.  The
+    coefficients are not finite where e^(-lam t) overflows; lam and k do
+    not depend on them.
     """
     u = np.asarray(series.values, dtype=complex)
     scale = float(np.max(np.abs(u)))
@@ -155,7 +178,8 @@ def prony_recover(series: SampleSeries, k_max: int):
     # polynomial in t of u(t) e^(-lam t), t = m delta
     m = np.arange(series.count)
     t = m * series.delta
-    q = u * np.exp(-lam * t)
+    with np.errstate(all="ignore"):
+        q = u * np.exp(-lam * t)
     vand = np.vander(t, k + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(vand, q, rcond=None)
     return lam, k, tuple(complex(v) for v in coeffs), residual
@@ -174,11 +198,7 @@ def multi_probe_recover(f: Callable, n: int, k_max: int, *, delta: float = 0.1,
         count = 2 * (k_max + 1) + 2
     results = []
     for _ in range(3 * n):
-        v = rng.normal(size=n)
-        norm = float(np.linalg.norm(v))
-        while norm < 1e-6:
-            v = rng.normal(size=n)
-            norm = float(np.linalg.norm(v))
+        v, norm = random_direction(rng, n)
         x0 = tuple(c / norm for c in v)
         try:
             lam, k, coeffs, residual = prony_recover(

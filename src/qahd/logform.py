@@ -16,11 +16,11 @@ import numpy as np
 
 from . import expr as ex
 from .errors import (
-    EvalOverflowError,
     ExpansionLimitError,
     NotInClassError,
     OriginError,
     UndefinedDegreeError,
+    check_finite,
 )
 
 COEFF_ZERO_THRESHOLD = 1e-12
@@ -289,8 +289,7 @@ def eval_form(form: LogForm, x):
             acc = np.sum(arr.angular(points / r[:, None])
                          * power_table(ln_r, len(form.coeffs)), axis=1)
             values = np.exp(form._lam * ln_r) * acc
-        if not np.isfinite(values).all():
-            raise EvalOverflowError("evaluation overflowed the floating-point range")
+        check_finite(values, "evaluation")
     return complex(values[0]) if np.ndim(x) == 1 else values
 
 
@@ -344,9 +343,6 @@ class MultiForm:
                 out.append(g)
         out.extend(f for f in groups if f is not None)
         return MultiForm(self.n, out)
-
-    def scale(self, c: complex) -> "MultiForm":
-        return MultiForm(self.n, [f.scale(c) for f in self.forms])
 
     def eval(self, x):
         """Sum of the components' values; a single point or a batch (m, n)."""
@@ -443,10 +439,9 @@ def _expand(e, n) -> Monomials:
                     value = base.value ** int(c.real)
                 else:
                     value = cmath.exp(c * cmath.log(base.value))
-            except OverflowError:
-                raise EvalOverflowError(
-                    f"constant power {base.value}^{c} overflowed the floating-point range"
-                ) from None
+            except (OverflowError, ValueError):  # ValueError: an infinite exponent
+                value = complex(cmath.inf)  # reported below
+            check_finite(value, "constant power {}^{}", base.value, c)
             return {(zero_alpha, complex(0), 0): value}
         m = _as_int(c, "a compound-base power")
         if m < 0:

@@ -17,13 +17,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EvalOverflowError, NonPositiveScaleError, ZeroInputError
-from .logform import LogForm, MultiForm, eval_form
+from .errors import ZeroInputError, check_finite, check_scale
+from .identify import random_direction
+from .logform import DEGREE_TOLERANCE, LogForm, MultiForm, eval_form
 from .spectral import dilation_coefficient_matrix, scale_power
 
 DEFAULT_A_SAMPLES: Tuple[float, ...] = (0.5, 2.0 / 3.0, math.e, math.pi, 10.0)
 VERDICT_TOLERANCE = 1e-9
-DEGREE_MATCH_TOLERANCE = 1e-10
 
 
 def _act(form: LogForm, matrix: np.ndarray, power: int = 1) -> LogForm:
@@ -31,14 +31,8 @@ def _act(form: LogForm, matrix: np.ndarray, power: int = 1) -> LogForm:
     arr = form.arrays()
     with np.errstate(all="ignore"):
         values = np.linalg.matrix_power(matrix, power) @ arr.values
-    if not np.isfinite(values).all():
-        raise EvalOverflowError("operator coefficients overflowed the floating-point range")
+    check_finite(values, "operator coefficients")
     return LogForm.make(form.n, form._lam, arr.parts(form.n, values))
-
-
-def _check_scale(a: float) -> None:
-    if a <= 0:
-        raise NonPositiveScaleError(f"dilation scale must be positive, got {a}")
 
 
 def _euler_matrix(size: int, shift: complex) -> np.ndarray:
@@ -55,7 +49,7 @@ def _delta_matrix(form: LogForm, a: float, mu: complex) -> np.ndarray:
 
 def dilate(form: LogForm, a: float) -> LogForm:
     """Pointwise substitution x -> a*x, computed on coefficients."""
-    _check_scale(a)
+    check_scale(a, "dilation scale")
     if form.is_zero:
         return form
     return _act(form, dilation_coefficient_matrix(a, form._lam, len(form.coeffs)))
@@ -75,7 +69,7 @@ def euler_minus(form: LogForm, mu: complex) -> LogForm:
 
 def delta(form: LogForm, a: float, mu: complex) -> LogForm:
     """Spectral difference Delta_a(mu) = U_a - a^mu I."""
-    _check_scale(a)
+    check_scale(a, "dilation scale")
     if form.is_zero:
         return form
     return _act(form, _delta_matrix(form, a, complex(mu)))
@@ -101,7 +95,7 @@ def op_power(kind: str, m: int, form: LogForm, *, a: float | None = None,
     if kind == "delta_a":
         if a is None:
             raise ValueError("delta_a requires the scale a")
-        _check_scale(a)
+        check_scale(a, "dilation scale")
         return _act(form, _delta_matrix(form, a, target), m)
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -126,11 +120,7 @@ def random_points(rng: np.random.Generator, n: int, count: int,
     radius uniform in [r_min, r_max]."""
     points = np.empty((count, n))
     for p in range(count):
-        v = rng.normal(size=n)
-        norm = float(np.linalg.norm(v))
-        while norm < 1e-6:
-            v = rng.normal(size=n)
-            norm = float(np.linalg.norm(v))
+        v, norm = random_direction(rng, n)
         points[p] = float(rng.uniform(r_min, r_max)) * v / norm
     return points
 
@@ -181,15 +171,17 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
     """
     if not a_samples:
         raise ValueError("a_samples must be nonempty")
-    if any(a <= 0 for a in a_samples):
-        raise NonPositiveScaleError("all a-samples must be positive")
+    for a in a_samples:
+        check_scale(a, "a-sample")
     lam = complex(lam)
     points = random_points(np.random.default_rng(seed), form.n, n_points)
 
     # U_a F at the points a*x for every a at once, against the chain members
     # at the points x; rows are a-samples, columns points
     scales = np.asarray(a_samples, dtype=float)
-    lhs = eval_form(form, (scales[:, None, None] * points).reshape(-1, form.n))
+    with np.errstate(over="ignore"):  # an inf point fails in eval_form
+        scaled = scales[:, None, None] * points
+    lhs = eval_form(form, scaled.reshape(-1, form.n))
     lhs = lhs.reshape(scales.size, n_points)
     members = [eval_form(op_power("euler_minus_lambda", r, form, lam=lam), points)
                for r in range(k + 1)]
@@ -202,8 +194,7 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
         rhs = rhs * amps[:, None]
         residuals = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
     # an overflow raises rather than leaving inf or NaN in the criterion
-    if not np.isfinite(residuals).all():
-        raise EvalOverflowError("definitional residual overflowed the floating-point range")
+    check_finite(residuals, "definitional residual")
     definitional = float(residuals.max(initial=0.0))
 
     norm = form.coeff_norm()
@@ -217,7 +208,7 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
 
     structural = (
         not form.is_zero
-        and abs(form.degree - lam) <= DEGREE_MATCH_TOLERANCE
+        and abs(form.degree - lam) <= DEGREE_TOLERANCE
         and form.order == k
     )
     return VerificationReport(

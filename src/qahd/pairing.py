@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import (
     DimensionUnsupportedError,
-    EvalOverflowError,
     IntegrabilityError,
-    NonPositiveScaleError,
     QuadratureLimitError,
+    check_finite,
+    check_scale,
 )
 from .logform import LogForm, power_table
 from .operators import op_power
@@ -57,8 +57,7 @@ class TestFunction:
     width: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise NonPositiveScaleError("bump width must be positive and finite")
+        check_scale(self.width, "bump width")
         if len(self.center) != self.n:
             raise ValueError("center dimension mismatch")
         if not all(math.isfinite(v) for v in self.center):
@@ -75,11 +74,9 @@ class TestFunction:
 
     def scaled(self, a: float) -> "TestFunction":
         """The bump x -> phi(x/a)."""
-        if not (math.isfinite(a) and a > 0):
-            raise NonPositiveScaleError("scale must be positive and finite")
+        check_scale(a, "scale")
         center = tuple(a * c for c in self.center)
-        if not all(math.isfinite(v) for v in center + (a * self.width,)):
-            raise EvalOverflowError(f"bump scaled by {a} overflowed the floating-point range")
+        check_finite(center + (a * self.width,), "bump scaled by {}", a)
         return TestFunction(self.n, center, a * self.width)
 
     def support_radii(self) -> Tuple[float, float]:
@@ -181,6 +178,10 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
             f"degree {lam} is not locally integrable with the origin in the support"
         )
     r_lo, r_hi = phi.support_radii()
+    with np.errstate(over="ignore"):
+        w2 = np.float64(phi.width) ** 2
+    # |c| and width^2 are taken in absolute units, so they can overflow
+    check_finite((r_hi, w2), "pairing")
     if r_hi <= r_lo:
         return complex(0)
     nodes, w_r, omega, w_a = spec.rule(n)
@@ -188,7 +189,6 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
     w_r = 0.5 * (r_hi - r_lo) * w_r
 
     c = np.asarray(phi.center, dtype=float)
-    w2 = phi.width ** 2
     with np.errstate(all="ignore"):
         p = omega @ c
         # squared distance from c to each direction's line, |c|^2 - p^2
@@ -207,8 +207,7 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
         m = (bump @ h.view(float)).view(complex)
         radial = w_r * np.exp((lam + (n - 1)) * np.log(r.astype(complex)))  # w r^(lam+n-1)
         value = complex(radial @ np.sum(power_table(np.log(r), len(form.coeffs)) * m, axis=1))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise EvalOverflowError("pairing overflowed the floating-point range")
+    check_finite(value, "pairing")
     return value
 
 
@@ -220,8 +219,7 @@ def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
     Chain members are the canonical ones, (E - lam)^r F / r!.  All k+2
     pairings share `spec`'s rule (a fresh `QuadratureSpec()` by default).
     """
-    if not (math.isfinite(a) and a > 0):
-        raise NonPositiveScaleError("scale must be positive and finite")
+    check_scale(a, "scale")
     if form.is_zero:
         raise ValueError("identity check needs a nonzero form")
     if spec is None:
@@ -238,8 +236,7 @@ def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
             member = op_power("euler_minus_lambda", r, form).scale(1.0 / math.factorial(r))
             rhs = rhs + la ** r * pair(member, phi, spec)
         rhs = amp * rhs
-    if not np.isfinite(rhs):
-        raise EvalOverflowError("pairing identity overflowed the floating-point range")
+    check_finite(rhs, "pairing identity")
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return {
         "degree": {"re": lam.real, "im": lam.imag},

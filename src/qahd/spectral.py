@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalOverflowError, NonPositiveScaleError
+from .errors import EvalOverflowError, check_finite, check_scale
 
 
 def scale_power(a: float, lam: complex) -> complex:
     """a^lam via exp(lam ln a); single valued for a > 0."""
+    exponent = lam * math.log(a)
     try:
-        return cmath.exp(lam * math.log(a))
-    except OverflowError:
-        raise EvalOverflowError(f"{a}^{lam} overflowed the floating-point range") from None
+        value = cmath.exp(exponent)
+    except (OverflowError, ValueError):  # ValueError: an infinite exponent
+        value = complex(math.inf)  # reported below
+    check_finite(value, "{}^{}", a, lam)
+    return value
 
 
 def shift_matrix(size: int) -> np.ndarray:
@@ -54,23 +57,20 @@ class DilationMatrix:
 
 def build_R(a: float, lam: complex, size: int) -> DilationMatrix:
     """Toeplitz truncation: M[i][j] = a^lam (log a)^(j-i) for j >= i."""
-    if a <= 0:
-        raise NonPositiveScaleError(f"scale must be positive, got {a}")
+    check_scale(a, "scale")
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     lam = complex(lam)
     amp = scale_power(a, lam)
     la = math.log(a)
     m = np.zeros((size, size), dtype=complex)
-    overflow = f"dilation matrix of size {size} at a={a} overflowed the floating-point range"
     try:
         for i in range(size):
             for j in range(i, size):
                 m[i, j] = amp * la ** (j - i)
     except OverflowError:
-        raise EvalOverflowError(overflow) from None
-    if not np.isfinite(m).all():
-        raise EvalOverflowError(overflow)
+        m[0, 0] = math.inf  # (log a)^(j-i) left the range: reported below
+    check_finite(m, "dilation matrix of size {} at a={}", size, a)
     return DilationMatrix(size, float(a), lam, m)
 
 
@@ -98,8 +98,7 @@ def nilpotent_action(size: int, a: float, lam: complex, k: int) -> float:
 
 def geometric_factor(a: float, lam: complex, size: int) -> np.ndarray:
     """The truncated series sum_s (log a)^s T^s (no a^lam prefactor)."""
-    if a <= 0:
-        raise NonPositiveScaleError(f"scale must be positive, got {a}")
+    check_scale(a, "scale")
     la = math.log(a)
     t = shift_matrix(size)
     out = np.zeros((size, size), dtype=complex)
@@ -116,8 +115,7 @@ def dilation_coefficient_matrix(a: float, lam: complex, size: int) -> np.ndarray
     g = B h with B[i][j] = a^lam C(j,i) (log a)^(j-i); this is the genuine
     one-parameter group a^lam exp((log a) T) conjugated by diag(j!).
     """
-    if a <= 0:
-        raise NonPositiveScaleError(f"scale must be positive, got {a}")
+    check_scale(a, "scale")
     amp = scale_power(a, complex(lam))
     la = math.log(a)
     b = np.zeros((size, size), dtype=complex)

@@ -1,11 +1,15 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qahd import cli
+from qahd import cli, errors
 from qahd.cli import parse_complex, run
 
 
@@ -124,15 +128,31 @@ def test_overflow_exit_code(capsys):
         ("verify", "-n", "1", "r^300", "--degree", "300", "--order", "0"),
         ("classify", "10^400"),
         ("classify", "10^(400.5)"),
+        # an infinite exponent gives inf, not an exception: not a silent zero form
+        ("classify", "10^(1e308+1i)"),
+        ("chain", "(1e308)^(1e308+1i)*log(r)"),
         ("matrix", "--a", "1e300", "--size", "200"),
         # a product, not a power, leaves the floating-point range
         ("matrix", "--a", "1e300", "--lambda", "1", "--size", "4"),
         ("pair", "-n", "1", "1e300*r^300", "--center", "5", "--width", "1"),
         ("pair-verify", "-n", "1", "r", "--center", "5", "--scale", "1e308"),
         ("pair-verify", "-n", "1", "log(r)^150", "--center", "5", "--scale", "1e300"),
+        # finite inputs whose floats leave the range: no traceback, no warning
+        ("identify", "-n", "1", "r", "--delta", "1e300", "--x0", "1"),
+        ("identify", "-n", "1", "r", "--x0", "1e300"),
+        ("identify", "-n", "1", "r^(-700)", "--x0", "1", "--delta", "0.5", "--M", "6",
+         "--kmax", "0"),
+        ("pair", "-n", "1", "r", "--center", "1", "--width", "1e300"),
+        ("pair-verify", "-n", "1", "r", "--center", "1", "--width", "1e300"),
+        ("verify", "-n", "1", "r", "--degree", "1", "--order", "0", "--a-samples", "1e308"),
+        ("matrix", "--a", "1e308", "--lambda", "1e308", "--size", "2"),
+        ("apply", "r", "--op", "delta=1e308,1e308"),
+        ("apply", "r", "--op", "delta=1e308,1e308-1e308i"),
+        # |c| overflows; the pairing is not silently 0
+        ("pair", "-n", "1", "r^(-1)", "--center", "1e200", "--width", "1e199"),
     ):
         code, payload = invoke_json(capsys, *argv)
-        assert code == 3
+        assert code == 3, argv
         assert payload["error"] == "EvalOverflowError"
 
 
@@ -149,9 +169,19 @@ def test_non_finite_bump_and_scale_exit_code(capsys, monkeypatch):
         (("pair", "-n", "2", "r", "--center", "nan", "0"), "ValueError"),
         (("pair-verify", "-n", "2", "r", "--center", "3", "0", "--scale", "nan"), "NonPositiveScaleError"),
         (("pair-verify", "-n", "2", "r", "--center", "3", "0", "--scale", "inf"), "NonPositiveScaleError"),
+        (("apply", "r", "--op", "dilate=nan"), "NonPositiveScaleError"),
+        (("apply", "r", "--op", "dilate=inf"), "NonPositiveScaleError"),
+        (("apply", "r", "--op", "dilate=1e400"), "NonPositiveScaleError"),
+        (("apply", "log(r)", "--op", "delta=nan,1"), "NonPositiveScaleError"),
+        (("apply", "r", "--op", "power=delta_a,2", "--a", "nan"), "NonPositiveScaleError"),
+        (("matrix", "--a", "nan", "--size", "2"), "NonPositiveScaleError"),
+        (("verify", "-n", "1", "r", "--degree", "1", "--order", "0", "--a-samples", "nan"),
+         "NonPositiveScaleError"),
+        (("identify", "r", "--delta", "nan"), "ValueError"),
+        (("identify", "r", "--x0", "nan"), "ValueError"),
     ):
         code, payload = invoke_json(capsys, *argv)
-        assert code == 2
+        assert code == 2, argv
         assert payload["error"] == error
 
 
@@ -365,3 +395,101 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "order: 1" in out
+
+
+# the input-error classes, exit 2; every other QahdError exits 3
+INPUT_ERROR_NAMES = {
+    "ExprSyntaxError", "DimensionError", "NonLiteralExponentError", "NotInClassError",
+    "ExpansionLimitError", "ZeroInputError", "NonPositiveScaleError", "OriginError",
+    "UndefinedDegreeError", "IntegrabilityError", "DimensionUnsupportedError",
+    "QuadratureLimitError", "InsufficientSamplesError",
+}
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.QahdError)
+    and cls not in (errors.QahdError, errors.InputError)
+]
+
+
+def test_error_class_table_names_existing_classes():
+    assert INPUT_ERROR_NAMES <= {cls.__name__ for cls in ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_by_error_class(capsys, monkeypatch, cls):
+    exc = cls("boom", 0) if cls is errors.ExprSyntaxError else cls("boom")
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse", fail)
+    code, payload = invoke_json(capsys, "parse", "r")
+    assert code == (2 if cls.__name__ in INPUT_ERROR_NAMES else 3)
+    assert payload == {"error": cls.__name__, "message": str(exc)}
+
+
+_EXPRESSIONS = (
+    "r", "0", "log(r)", "r^(-1)", "r^(-3)*log(r)", "x1*r^(-2)*log(r)", "r^2 + r^3",
+    "(x1 + r)^3", "1e300*r^300", "r^(0.5)*(1 + log(r))", "log(r)^3", "x1^2*r^(2+1i)",
+)
+_VALUES = st.sampled_from(
+    ("nan", "inf", "-inf", "1e400", "1e308", "1e300", "-1", "0", "0.5", "2", "3+2i")
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command line of any verb, with extreme, invalid and ordinary values."""
+    verb = draw(st.sampled_from((
+        "parse", "classify", "apply", "chain", "verify", "matrix", "pair",
+        "pair-verify", "identify",
+    )))
+
+    def opt(name, values=_VALUES):
+        return f"{name}={draw(values)}"
+
+    if verb == "matrix":
+        return [verb, opt("--a"), opt("--lambda"), opt("--size", st.integers(-1, 8))]
+    n = draw(st.integers(1, 3))
+    argv = [verb, draw(st.sampled_from(_EXPRESSIONS)), "-n", str(n)]
+    if verb == "apply":
+        a, b, m = draw(_VALUES), draw(_VALUES), draw(st.integers(0, 3))
+        argv.append("--op=" + draw(st.sampled_from((
+            "euler", f"dilate={a}", f"delta={a},{b}",
+            f"power=euler_minus_lambda,{m}", f"power=delta_a,{m}",
+        ))))
+        if draw(st.booleans()):
+            argv.append(opt("--a"))
+    elif verb == "verify":
+        argv += [opt("--degree"), opt("--order", st.integers(0, 3))]
+        if draw(st.booleans()):
+            argv += ["--a-samples", *draw(st.lists(_VALUES, min_size=1, max_size=3))]
+    elif verb in ("pair", "pair-verify"):
+        nodes = st.integers(3, 32)
+        argv += ["--center", *[draw(_VALUES) for _ in range(n)],
+                 opt("--width"), opt("--kr", nodes), opt("--kw", nodes)]
+        if verb == "pair-verify":
+            argv.append(opt("--scale"))
+    elif verb == "identify":
+        if draw(st.booleans()):
+            argv += ["--x0", *[draw(_VALUES) for _ in range(n)]]
+        argv += [opt("--delta"), opt("--M", st.integers(3, 16)),
+                 opt("--kmax", st.integers(0, 3))]
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_exit_code_contract_property(argv):
+    """Every command line ends in an exit code of the contract and valid JSON
+    or nothing on stdout: no traceback and no floating-point warning."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
