@@ -1,4 +1,5 @@
-"""Deterministic JSON writer: fixed field order, round-trip float repr."""
+"""Deterministic JSON writer: fixed field order, round-trip float repr, and
+each complex z written as the object {"re": z.real, "im": z.imag}."""
 
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ def _write(obj, out, indent, level):
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
+    elif isinstance(obj, complex):
+        _write({"re": obj.real, "im": obj.imag}, out, indent, level)
     elif isinstance(obj, str):
         if _NEEDS_ESCAPE.search(obj):
             obj = obj.translate(_ESCAPES)

@@ -27,9 +27,11 @@ def _emit(args, payload) -> None:
 
 def _emit_text(obj, depth) -> None:
     pad = "  " * depth
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, (dict, list, tuple)):
+            if isinstance(v, (dict, list, tuple, complex)):
                 sys.stdout.write(f"{pad}{k}:\n")
                 _emit_text(v, depth + 1)
             else:
@@ -65,13 +67,7 @@ def _cmd_parse(args) -> int:
 def _cmd_classify(args) -> int:
     m = _canon(args)
     pairs = operators.classify(m)
-    _emit(
-        args,
-        [
-            {"degree": {"re": lam.real, "im": lam.imag}, "order": k}
-            for lam, k in pairs
-        ],
-    )
+    _emit(args, [{"degree": lam, "order": k} for lam, k in pairs])
     return 0
 
 
@@ -124,7 +120,7 @@ def _cmd_chain(args) -> int:
         members = operators.chain(form)
         payload.append(
             {
-                "degree": {"re": form.degree.real, "im": form.degree.imag},
+                "degree": form.degree,
                 "order": form.order,
                 "members": [g.to_dict() for g in members],
             }
@@ -169,7 +165,7 @@ def _cmd_pair(args) -> int:
             "n": args.n,
             "test_function": phi.to_dict(),
             "quadrature": spec.to_dict(),
-            "value": {"re": value.real, "im": value.imag},
+            "value": value,
         },
     )
     return 0
@@ -204,10 +200,10 @@ def _cmd_identify(args) -> int:
             "x0": list(series.x0),
             "delta": series.delta,
             "M": series.count,
-            "lambda": {"re": lam.real, "im": lam.imag},
+            "lambda": lam,
             "k": k,
             "fit_residual": residual,
-            "ray_coefficients": [{"re": c.real, "im": c.imag} for c in coeffs],
+            "ray_coefficients": list(coeffs),
         }
     else:
         lam, k, residual = identify.multi_probe_recover(
@@ -217,7 +213,7 @@ def _cmd_identify(args) -> int:
             "probes": 3 * args.n,
             "delta": args.delta,
             "M": args.M,
-            "lambda": {"re": lam.real, "im": lam.imag},
+            "lambda": lam,
             "k": k,
             "fit_residual": residual,
         }

@@ -64,8 +64,6 @@ class AngularPart:
         return AngularPart(self.n, acc)
 
     def scale(self, c: complex) -> "AngularPart":
-        if c == 0:
-            return AngularPart(self.n)
         return AngularPart(self.n, {a: v * c for a, v in self.atoms.items()})
 
     def sub(self, other: "AngularPart") -> "AngularPart":
@@ -214,8 +212,6 @@ class LogForm:
         return self._arrays
 
     def scale(self, c: complex) -> "LogForm":
-        if self.is_zero or c == 0:
-            return LogForm.zero(self.n)
         return LogForm.make(self.n, self._lam, [h.scale(c) for h in self.coeffs])
 
     def add(self, other: "LogForm") -> "LogForm":
@@ -239,13 +235,9 @@ class LogForm:
 
     def coeff_norm(self) -> float:
         """Max syzygy-reduced coefficient magnitude across log powers."""
-        if self.is_zero:
-            return 0.0
         return max(h.reduced().max_abs() for h in self.coeffs)
 
     def raw_norm(self) -> float:
-        if self.is_zero:
-            return 0.0
         return max(h.max_abs() for h in self.coeffs)
 
     def to_dict(self) -> dict:
@@ -254,7 +246,7 @@ class LogForm:
             out["zero"] = True
             out["coeffs"] = [[]]
             return out
-        out["degree"] = {"re": self._lam.real, "im": self._lam.imag}
+        out["degree"] = self._lam
         coeffs = []
         for h in self.coeffs:
             entries = []
@@ -280,16 +272,12 @@ def eval_form(form: LogForm, x):
     r = ex.radii(points)
     if not r.all():
         raise OriginError("evaluation at the origin")
-    if form.is_zero:
-        values = np.zeros(r.size, dtype=complex)
-    else:
-        arr = form.arrays()
-        ln_r = np.log(r)
-        with np.errstate(all="ignore"):
-            acc = np.sum(arr.angular(points / r[:, None])
-                         * power_table(ln_r, len(form.coeffs)), axis=1)
-            values = np.exp(form._lam * ln_r) * acc
-        check_finite(values, "evaluation")
+    ln_r = np.log(r)
+    with np.errstate(all="ignore"):
+        acc = np.sum(form.arrays().angular(points / r[:, None])
+                     * power_table(ln_r, len(form.coeffs)), axis=1)
+        values = np.exp(form._lam * ln_r) * acc
+    check_finite(values, "evaluation")
     return complex(values[0]) if np.ndim(x) == 1 else values
 
 
@@ -297,8 +285,6 @@ def forms_equal(f: LogForm, g: LogForm) -> bool:
     """Equality up to the degree tolerance and the sphere relation."""
     if f.n != g.n:
         return False
-    if f.is_zero or g.is_zero:
-        return f.is_zero and g.is_zero
     if abs(f._lam - g._lam) > DEGREE_TOLERANCE:
         return False
     k = max(len(f.coeffs), len(g.coeffs))

@@ -29,6 +29,9 @@ VERDICT_TOLERANCE = 1e-9
 def _act(form: LogForm, matrix: np.ndarray, power: int = 1) -> LogForm:
     """The form whose coefficient matrix is matrix^power @ H, same degree."""
     arr = form.arrays()
+    if not matrix.diagonal().any():
+        # strictly upper triangular: matrix^size = 0, and higher powers can overflow
+        power = min(power, len(matrix))
     with np.errstate(all="ignore"):
         values = np.linalg.matrix_power(matrix, power) @ arr.values
     check_finite(values, "operator coefficients")
@@ -50,28 +53,18 @@ def _delta_matrix(form: LogForm, a: float, mu: complex) -> np.ndarray:
 def dilate(form: LogForm, a: float) -> LogForm:
     """Pointwise substitution x -> a*x, computed on coefficients."""
     check_scale(a, "dilation scale")
-    if form.is_zero:
-        return form
     return _act(form, dilation_coefficient_matrix(a, form._lam, len(form.coeffs)))
 
 
 def euler(form: LogForm) -> LogForm:
-    """Coefficient action of E = sum_j x_j d/dx_j."""
-    return euler_minus(form, complex(0))
-
-
-def euler_minus(form: LogForm, mu: complex) -> LogForm:
-    """Single application of (E - mu)."""
-    if form.is_zero:
-        return form
-    return _act(form, _euler_matrix(len(form.coeffs), form._lam - mu))
+    """Coefficient action of E = sum_j x_j d/dx_j; (E - mu) is
+    op_power("euler_minus_lambda", 1, form, lam=mu)."""
+    return _act(form, _euler_matrix(len(form.coeffs), form._lam))
 
 
 def delta(form: LogForm, a: float, mu: complex) -> LogForm:
     """Spectral difference Delta_a(mu) = U_a - a^mu I."""
     check_scale(a, "dilation scale")
-    if form.is_zero:
-        return form
     return _act(form, _delta_matrix(form, a, complex(mu)))
 
 
@@ -84,14 +77,11 @@ def op_power(kind: str, m: int, form: LogForm, *, a: float | None = None,
     """
     if m < 0:
         raise ValueError("power must be non-negative")
-    if form.is_zero or m == 0:
+    if m == 0:
         return form
     target = form._lam if lam is None else complex(lam)
-    size = len(form.coeffs)
     if kind == "euler_minus_lambda":
-        if target == form._lam and m >= size:
-            return LogForm.zero(form.n)
-        return _act(form, _euler_matrix(size, form._lam - target), m)
+        return _act(form, _euler_matrix(len(form.coeffs), form._lam - target), m)
     if kind == "delta_a":
         if a is None:
             raise ValueError("delta_a requires the scale a")
@@ -146,7 +136,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
-            "degree": {"re": self.degree.real, "im": self.degree.imag},
+            "degree": self.degree,
             "order": self.order,
             "criteria": {
                 "definitional": self.definitional,

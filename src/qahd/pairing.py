@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DimensionUnsupportedError,
+    EvalOverflowError,
     IntegrabilityError,
     QuadratureLimitError,
     check_finite,
@@ -66,7 +67,10 @@ class TestFunction:
     def values(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; points has shape (n, ...)."""
         c = np.asarray(self.center).reshape((self.n,) + (1,) * (points.ndim - 1))
-        return _bump(np.sum((points - c) ** 2, axis=0) / self.width ** 2)
+        # u = |x - c| / width divided before squaring, so no width^2 overflows
+        with np.errstate(over="ignore"):
+            u2 = np.sum(((points - c) / self.width) ** 2, axis=0)
+        return _bump(u2)
 
     def __call__(self, x) -> float:
         pts = np.asarray(x, dtype=float).reshape(self.n, 1)
@@ -182,8 +186,11 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
         w2 = np.float64(phi.width) ** 2
     # |c| and width^2 are taken in absolute units, so they can overflow
     check_finite((r_hi, w2), "pairing")
-    if r_hi <= r_lo:
-        return complex(0)
+    if r_hi <= r_lo:  # |c| - width and |c| + width round to one float
+        raise EvalOverflowError(
+            f"bump width {phi.width} is below the float resolution of its "
+            f"distance {r_hi} from the origin"
+        )
     nodes, w_r, omega, w_a = spec.rule(n)
     r = 0.5 * (r_hi - r_lo) * nodes + 0.5 * (r_hi + r_lo)
     w_r = 0.5 * (r_hi - r_lo) * w_r
@@ -239,11 +246,11 @@ def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
     check_finite(rhs, "pairing identity")
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return {
-        "degree": {"re": lam.real, "im": lam.imag},
+        "degree": lam,
         "order": k,
         "a": float(a),
-        "lhs": {"re": lhs.real, "im": lhs.imag},
-        "rhs": {"re": complex(rhs).real, "im": complex(rhs).imag},
+        "lhs": lhs,
+        "rhs": complex(rhs),
         "residual": float(residual),
         "quadrature": spec.to_dict(),
         "verdict": bool(residual < tolerance),

@@ -42,16 +42,11 @@ class DilationMatrix:
     entries: np.ndarray
 
     def to_dict(self) -> dict:
-        rows = []
-        for i in range(self.size):
-            for j in range(self.size):
-                z = self.entries[i, j]
-                rows.append({"re": z.real, "im": z.imag})
         return {
             "size": self.size,
             "a": self.a,
-            "lambda": {"re": self.lam.real, "im": self.lam.imag},
-            "entries": rows,
+            "lambda": self.lam,
+            "entries": self.entries.ravel().tolist(),
         }
 
 

@@ -150,6 +150,8 @@ def test_overflow_exit_code(capsys):
         ("apply", "r", "--op", "delta=1e308,1e308-1e308i"),
         # |c| overflows; the pairing is not silently 0
         ("pair", "-n", "1", "r^(-1)", "--center", "1e200", "--width", "1e199"),
+        # |c| -+ width round to one float; the pairing is not silently 0
+        ("pair", "-n", "1", "r", "--center", "1e16", "--width", "1"),
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 3, argv
@@ -179,6 +181,23 @@ def test_non_finite_bump_and_scale_exit_code(capsys, monkeypatch):
          "NonPositiveScaleError"),
         (("identify", "r", "--delta", "nan"), "ValueError"),
         (("identify", "r", "--x0", "nan"), "ValueError"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 2, argv
+        assert payload["error"] == error
+
+
+def test_malformed_input_exit_code(capsys):
+    for argv, error in (
+        (("verify", "0", "--degree", "0", "--order", "0"), "ZeroInputError"),
+        (("pair-verify", "0", "--center", "3"), "ZeroInputError"),
+        (("apply", "r", "--op", "delta=2"), "ValueError"),
+        (("apply", "r", "--op", "power=euler"), "ValueError"),
+        (("apply", "r", "--op", "power=foo,2"), "ValueError"),
+        (("pair", "-n", "2", "r", "--center", "3"), "ValueError"),
+        (("identify", "-n", "2", "r", "--x0", "1"), "ValueError"),
+        (("classify", "-n", "0", "r"), "DimensionError"),
+        (("classify", "r/0"), "ExprSyntaxError"),
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 2, argv
@@ -306,6 +325,10 @@ def test_pair(capsys):
     )
     assert code == 0
     assert payload["value"]["re"] == pytest.approx(0.443994, abs=1e-6)
+    # the zero form pairs to 0 without a quadrature
+    code, payload = invoke_json(capsys, "pair", "-n", "2", "0", "--center", "3", "0")
+    assert code == 0
+    assert payload["value"] == {"re": 0.0, "im": 0.0}
 
 
 def test_pair_integrability_refusal(capsys):

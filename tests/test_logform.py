@@ -2,11 +2,13 @@
 
 import cmath
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qahd import _json
 from qahd.errors import ExpansionLimitError, NotInClassError, UndefinedDegreeError
 from qahd.expr import parse
 from qahd.logform import (
@@ -172,7 +174,7 @@ def test_evaluation_fidelity_random_expressions():
 def test_json_encoding_matches_contract():
     m = canonicalize(parse("x1^2*r^(-3)*log(r)^2 + r^(-1)", 2), 2)
     (form,) = m.components()
-    assert form.to_dict() == {
+    assert json.loads(_json.dumps(form.to_dict())) == {
         "n": 2,
         "degree": {"re": -1.0, "im": 0.0},
         "coeffs": [

@@ -1,10 +1,12 @@
 """Dilation and Euler operators, their powers, and the four-way verifier."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qahd import _json
 from qahd.errors import NonPositiveScaleError, ZeroInputError
 from qahd.expr import differentiate, eval_expr, parse
 from qahd.logform import AngularPart, LogForm, canonicalize, eval_form, forms_equal
@@ -178,6 +180,30 @@ def test_op_power_annihilates_at_order_plus_one():
         assert op_power("euler_minus_lambda", k + 1, f).is_zero
 
 
+def test_op_power_past_overflowing_partial_powers():
+    # N^436 = 0 for the 201x201 shift N, but numpy's square-and-multiply
+    # would pass through N^180, whose entries overflow to inf
+    f = const_form(0, [0] * 200 + [1], n=1)
+    assert op_power("euler_minus_lambda", 436, f).is_zero
+
+
+def test_zero_form_takes_the_general_path():
+    for n in (1, 2, 3):
+        zero = LogForm.zero(n)
+        f = const_form(0, [1], n)
+        results = [dilate(zero, 2.0), euler(zero), delta(zero, 2.0, complex(1))]
+        for m in (1, 2, 3):
+            results.append(op_power("euler_minus_lambda", m, zero))
+            results.append(op_power("delta_a", m, zero, a=2.0))
+        assert all(g.is_zero and g.n == n for g in results)
+        points = random_points(np.random.default_rng(n), n, 5)
+        assert np.array_equal(eval_form(zero, np.asarray(points)), np.zeros(5))
+        assert zero.coeff_norm() == 0.0 and zero.raw_norm() == 0.0
+        assert zero.scale(0).is_zero and f.scale(0).is_zero
+        assert forms_equal(zero, zero)
+        assert not forms_equal(zero, f) and not forms_equal(f, zero)
+
+
 def test_op_power_single_shift():
     f = const_form(1.5, [2, 3])
     g = op_power("euler_minus_lambda", 1, f)
@@ -208,10 +234,8 @@ def test_op_power_matches_repeated_application():
         m = 1 + trial % 3
         fast = op_power("euler_minus_lambda", m, f)
         slow = f
-        from qahd.operators import euler_minus
-
         for _ in range(m):
-            slow = euler_minus(slow, f.degree)
+            slow = op_power("euler_minus_lambda", 1, slow, lam=f.degree)
         assert fast.sub(slow).raw_norm() <= 1e-12 * (1 + slow.raw_norm())
 
 
@@ -295,7 +319,7 @@ def test_verify_wrong_order_fails_with_euler_residual():
 
 
 def test_verify_report_json_shape():
-    d = verify_qahd(const_form(2, [1]), complex(2), 0).to_dict()
+    d = json.loads(_json.dumps(verify_qahd(const_form(2, [1]), complex(2), 0).to_dict()))
     assert d["degree"] == {"re": 2.0, "im": 0.0}
     assert d["order"] == 0
     assert set(d["criteria"]) == {

@@ -51,6 +51,12 @@ def test_bump_profile_and_support():
     assert phi.support_radii() == (4.0, 6.0)
     assert not phi.contains_origin()
     assert TestFunction(2, (0.5, 0.0), 1.0).contains_origin()
+    # u is formed before it is squared: no width^2 overflow, and a point far
+    # outside a tiny bump is 0 without a warning
+    assert TestFunction(1, (1.0,), 1e300)((1.0,)) == pytest.approx(math.exp(-1.0))
+    assert TestFunction(2, (1.0, 0.0), 1e300)((1e300 / 2, 0.0)) > 0.0
+    assert TestFunction(1, (1.0,), 1e-300)((2.0,)) == 0.0
+    assert TestFunction(3, (0.0, 0.0, 0.0), 1e-300)((1.0, 1.0, 1.0)) == 0.0
 
 
 def test_test_function_validation():
@@ -232,7 +238,7 @@ def test_identity_homogeneous_constant():
     assert rep["verdict"]
     assert rep["residual"] < 1e-8
     # substitution oracle: <1, phi(x/2)> = 2 <1, phi>
-    assert rep["lhs"]["re"] == pytest.approx(2 * BUMP_1D, rel=1e-9)
+    assert rep["lhs"].real == pytest.approx(2 * BUMP_1D, rel=1e-9)
 
 
 def test_identity_log_order_one():
@@ -289,6 +295,9 @@ def test_pair_overflow_raises():
         pair(f, TestFunction(1, (5.0,), 1.0))
     with pytest.raises(EvalOverflowError):
         verify_pairing_identity(const_form(300, [1], 1), TestFunction(1, (5.0,), 1.0), 1e3)
+    # |c| - w and |c| + w round to one float: not a silent 0
+    with pytest.raises(EvalOverflowError, match=r"width 1\.0 .* 1e\+16"):
+        pair(const_form(1, [1], 1), TestFunction(1, (1e16,), 1.0))
 
 
 # --- reference: the dense full-grid pairing ---------------------------------
@@ -389,10 +398,8 @@ def test_identity_matches_dense_reference():
         a = 0.7 if phi.contains_origin() else 1.9
         rep = verify_pairing_identity(form, phi, a, spec)
         lhs, lhs_size, rhs, rhs_size = dense_identity(form, phi, a, spec)
-        got_lhs = complex(rep["lhs"]["re"], rep["lhs"]["im"])
-        got_rhs = complex(rep["rhs"]["re"], rep["rhs"]["im"])
-        assert abs(got_lhs - lhs) <= 1e-12 * lhs_size
-        assert abs(got_rhs - rhs) <= 1e-12 * rhs_size
+        assert abs(rep["lhs"] - lhs) <= 1e-12 * lhs_size
+        assert abs(rep["rhs"] - rhs) <= 1e-12 * rhs_size
         residual = abs(lhs - rhs) / (1.0 + abs(lhs))
         assert rep["verdict"] == bool(residual < pairing.DEFAULT_PAIR_TOLERANCE)
 

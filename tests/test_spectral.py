@@ -12,11 +12,13 @@ as strict expected failures.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qahd import _json
 from qahd.errors import NonPositiveScaleError
 from qahd.logform import LogForm
 from qahd.operators import dilate
@@ -197,7 +199,7 @@ def test_dilate_matches_binomial_matrix_action():
 
 
 def test_matrix_json_shape():
-    d = build_R(2.0, complex(1, -1), 2).to_dict()
+    d = json.loads(_json.dumps(build_R(2.0, complex(1, -1), 2).to_dict()))
     assert d["size"] == 2
     assert d["a"] == 2.0
     assert d["lambda"] == {"re": 1.0, "im": -1.0}
