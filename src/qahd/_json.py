@@ -1,30 +1,25 @@
-"""Deterministic JSON writer: fixed field order, round-trip float repr, and
-each complex z written as the object {"re": z.real, "im": z.imag}."""
+"""Deterministic JSON writer for the CLI's reports: a fixed two-space layout,
+fixed field order, round-trip float repr, and each complex z written as the
+object {"re": z.real, "im": z.imag}.
+
+The bytes are those of `json.dumps(obj, indent=2, ensure_ascii=False,
+allow_nan=False)`, which is slower here because its C encoder does not indent.
+"""
 
 from __future__ import annotations
 
-import re
-
-# JSON string escapes: backslash, quote and every control character below 0x20.
-_NEEDS_ESCAPE = re.compile(r'[\x00-\x1f\\"]')
-_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
-_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n",
-                 ord("\r"): "\\r", ord("\t"): "\\t", ord("\b"): "\\b", ord("\f"): "\\f"})
+import math
+from json.encoder import encode_basestring
 
 
-def _fmt_float(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ValueError("non-finite value in report")
-    return repr(float(v))
-
-
-def dumps(obj, indent: int | None = None) -> str:
+def dumps(obj) -> str:
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, "\n")
     return "".join(out)
 
 
-def _write(obj, out, indent, level):
+def _write(obj, out, nl):
+    """Append obj to out; nl is the newline and indentation of obj's level."""
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -34,39 +29,28 @@ def _write(obj, out, indent, level):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
+        if not math.isfinite(obj):
+            raise ValueError("non-finite value in report")
+        out.append(float.__repr__(obj))  # numpy's repr names the type
     elif isinstance(obj, complex):
-        _write({"re": obj.real, "im": obj.imag}, out, indent, level)
+        _write({"re": obj.real, "im": obj.imag}, out, nl)
     elif isinstance(obj, str):
-        if _NEEDS_ESCAPE.search(obj):
-            obj = obj.translate(_ESCAPES)
-        out.append('"' + obj + '"')
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
-        _container(obj.items(), out, indent, level, "{}", key=True)
+        inner = nl + "  "
+        opener = "{"
+        for key, value in obj.items():
+            out.append(opener + inner + encode_basestring(str(key)) + ": ")
+            _write(value, out, inner)
+            opener = ","
+        out.append("{}" if not obj else nl + "}")
     elif isinstance(obj, (list, tuple)):
-        _container(obj, out, indent, level, "[]", key=False)
+        inner = nl + "  "
+        opener = "["
+        for item in obj:
+            out.append(opener + inner)
+            _write(item, out, inner)
+            opener = ","
+        out.append("[]" if not obj else nl + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _container(items, out, indent, level, braces, key):
-    items = list(items)
-    if not items:
-        out.append(braces)
-        return
-    out.append(braces[0])
-    sep_nl = "\n" + " " * (indent * (level + 1)) if indent else ""
-    for idx, item in enumerate(items):
-        if idx:
-            out.append(",")
-        out.append(sep_nl)
-        if key:
-            k, v = item
-            _write(str(k), out, indent, level + 1)
-            out.append(": " if indent else ":")
-            _write(v, out, indent, level + 1)
-        else:
-            _write(item, out, indent, level + 1)
-    if indent:
-        out.append("\n" + " " * (indent * level))
-    out.append(braces[1])

@@ -20,7 +20,7 @@ from .logform import MultiForm, canonicalize
 
 def _emit(args, payload) -> None:
     if args.format == "json":
-        sys.stdout.write(_json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json.dumps(payload) + "\n")
     else:
         _emit_text(payload, 0)
 
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, expr=False)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--lambda", dest="lam", default="0", help="degree (a or a+bi)")
-    p.add_argument("--size", type=int, default=4)
+    p.add_argument("--size", type=int, default=4, help="matrix size, 1 to 201 (default 4)")
     p.set_defaults(fn=_cmd_matrix)
 
     def pairing_args(p):
@@ -329,9 +329,7 @@ def run(argv=None) -> int:
 
 def _fail(exc: Exception, code: int) -> int:
     """Write the JSON error envelope and return the exit code."""
-    sys.stdout.write(
-        _json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2) + "\n"
-    )
+    sys.stdout.write(_json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
     return code
 
 

@@ -49,14 +49,6 @@ class AngularPart:
                     pruned[tuple(alpha)] = complex(c)
         self.atoms = pruned
 
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[Tuple[Alpha, complex]]):
-        acc: Dict[Alpha, complex] = {}
-        for alpha, c in terms:
-            alpha = tuple(alpha)
-            acc[alpha] = acc.get(alpha, complex(0)) + c
-        return cls(n, acc)
-
     def add(self, other: "AngularPart") -> "AngularPart":
         acc = dict(self.atoms)
         for alpha, c in other.atoms.items():
@@ -68,9 +60,6 @@ class AngularPart:
 
     def sub(self, other: "AngularPart") -> "AngularPart":
         return self.add(other.scale(complex(-1)))
-
-    def is_empty(self) -> bool:
-        return not self.atoms
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.atoms.values()), default=0.0)

@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ZeroInputError, check_finite, check_scale
+from .errors import EvalOverflowError, ZeroInputError, check_finite, check_scale
 from .identify import random_direction
 from .logform import DEGREE_TOLERANCE, LogForm, MultiForm, eval_form
 from .spectral import dilation_coefficient_matrix, scale_power
@@ -29,11 +29,13 @@ VERDICT_TOLERANCE = 1e-9
 def _act(form: LogForm, matrix: np.ndarray, power: int = 1) -> LogForm:
     """The form whose coefficient matrix is matrix^power @ H, same degree."""
     arr = form.arrays()
-    if not matrix.diagonal().any():
-        # strictly upper triangular: matrix^size = 0, and higher powers can overflow
-        power = min(power, len(matrix))
-    with np.errstate(all="ignore"):
-        values = np.linalg.matrix_power(matrix, power) @ arr.values
+    if power >= len(matrix) and not matrix.diagonal().any():
+        # strictly upper triangular: its power is exactly 0, while the partial
+        # products of matrix_power can overflow
+        values = np.zeros_like(arr.values)
+    else:
+        with np.errstate(all="ignore"):
+            values = np.linalg.matrix_power(matrix, power) @ arr.values
     check_finite(values, "operator coefficients")
     return LogForm.make(form.n, form._lam, arr.parts(form.n, values))
 
@@ -173,14 +175,22 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
         scaled = scales[:, None, None] * points
     lhs = eval_form(form, scaled.reshape(-1, form.n))
     lhs = lhs.reshape(scales.size, n_points)
+    # r! (from r = 171) or log(a)^r can leave the float range: refused before
+    # the k+1 chain members are built
+    try:
+        weights = [np.array([math.log(a) ** r / math.factorial(r) for a in a_samples])
+                   for r in range(k + 1)]
+    except OverflowError:
+        raise EvalOverflowError(
+            f"weights log(a)^r/r! up to order {k} overflowed the floating-point range"
+        ) from None
     members = [eval_form(op_power("euler_minus_lambda", r, form, lam=lam), points)
                for r in range(k + 1)]
     amps = np.array([scale_power(a, lam) for a in a_samples])
     with np.errstate(all="ignore"):
         rhs = np.zeros_like(lhs)
-        for r, values in enumerate(members):
-            weights = np.array([math.log(a) ** r / math.factorial(r) for a in a_samples])
-            rhs = rhs + weights[:, None] * values
+        for w, values in zip(weights, members):
+            rhs = rhs + w[:, None] * values
         rhs = rhs * amps[:, None]
         residuals = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
     # an overflow raises rather than leaving inf or NaN in the criterion

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalOverflowError, check_finite, check_scale
+from .logform import MAX_MONOMIAL_DEGREE
 
 
 def scale_power(a: float, lam: complex) -> complex:
@@ -53,8 +54,9 @@ class DilationMatrix:
 def build_R(a: float, lam: complex, size: int) -> DilationMatrix:
     """Toeplitz truncation: M[i][j] = a^lam (log a)^(j-i) for j >= i."""
     check_scale(a, "scale")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    if not 1 <= size <= MAX_MONOMIAL_DEGREE + 1:
+        # the largest coefficient matrix an operator builds; refused before allocating
+        raise ValueError(f"size must be between 1 and {MAX_MONOMIAL_DEGREE + 1}, got {size}")
     lam = complex(lam)
     amp = scale_power(a, lam)
     la = math.log(a)

@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qahd import cli, errors
+from qahd import _json, cli, errors
 from qahd.cli import parse_complex, run
 
 
@@ -145,6 +146,10 @@ def test_overflow_exit_code(capsys):
         ("pair", "-n", "1", "r", "--center", "1", "--width", "1e300"),
         ("pair-verify", "-n", "1", "r", "--center", "1", "--width", "1e300"),
         ("verify", "-n", "1", "r", "--degree", "1", "--order", "0", "--a-samples", "1e308"),
+        # 171! leaves the float range in the weights of the definitional check,
+        # which is refused before the k+1 chain members are built
+        ("verify", "-n", "1", "r", "--degree", "1", "--order", "171"),
+        ("verify", "-n", "1", "r", "--degree", "1", "--order", "10000000000"),
         ("matrix", "--a", "1e308", "--lambda", "1e308", "--size", "2"),
         ("apply", "r", "--op", "delta=1e308,1e308"),
         ("apply", "r", "--op", "delta=1e308,1e308-1e308i"),
@@ -198,6 +203,9 @@ def test_malformed_input_exit_code(capsys):
         (("identify", "-n", "2", "r", "--x0", "1"), "ValueError"),
         (("classify", "-n", "0", "r"), "DimensionError"),
         (("classify", "r/0"), "ExprSyntaxError"),
+        # refused before the size x size matrix is allocated
+        (("matrix", "--a", "2", "--size", "202"), "ValueError"),
+        (("matrix", "--a", "2", "--size", "100000"), "ValueError"),
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 2, argv
@@ -410,6 +418,52 @@ def test_json_determinism(capsys):
     code2, out2 = invoke(capsys, *argv)
     assert (code1, out1) == (code2, out2)
     assert code1 == 0
+
+
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)),
+)
+_REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**64), 2**64) | st.integers(2**63, 2**200),
+    _FINITE_FLOATS,
+    _FINITE_FLOATS.map(np.float64),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    st.text(st.characters(exclude_categories=())),
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=6),
+                        children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_REPORTS)
+def test_report_writer_matches_stdlib_json(obj):
+    expected = json.dumps(
+        obj, indent=2, ensure_ascii=False, allow_nan=False,
+        default=lambda z: {"re": z.real, "im": z.imag},
+    )
+    assert _json.dumps(obj) == expected
+
+
+def test_report_writer_refuses_non_finite_and_unknown_types():
+    for value in (math.nan, math.inf, -math.inf, complex(0, math.inf), np.float64("nan")):
+        for obj in (value, [1, value], {"a": {"b": value}}):
+            with pytest.raises(ValueError, match="^non-finite value in report$"):
+                _json.dumps(obj)
+    for value in (np.int64(1), object()):
+        with pytest.raises(TypeError):
+            _json.dumps({"a": [value]})
 
 
 def test_text_format(capsys):

@@ -42,7 +42,7 @@ def test_canonicalize_mixed_log_powers():
     assert form.degree == -1
     assert form.order == 2
     assert form.coeffs[0].atoms == {(0, 0): 1}
-    assert form.coeffs[1].is_empty()
+    assert not form.coeffs[1].atoms
     assert form.coeffs[2].atoms == {(2, 0): 1}
     # hand rewrite x1^2 r^-3 = (x1^2/r^2) r^-1; pointwise agreement
     e = parse("x1^2*r^(-3)*log(r)^2 + r^(-1)", 2)
@@ -196,7 +196,7 @@ def _naive_power_of_sum(n, c, s, p, k):
     Every one of the (n+1)^p 2^k monomials is formed separately; like terms
     meet only when the angular parts are built.
     """
-    terms = [[] for _ in range(k + 1)]
+    terms = [{} for _ in range(k + 1)]
     for picks in itertools.product(range(n + 1), repeat=p):
         alpha = [0] * n
         coef = complex(c)
@@ -204,9 +204,11 @@ def _naive_power_of_sum(n, c, s, p, k):
             if i < n:
                 alpha[i] += 1
                 coef *= s[i]
+        alpha = tuple(alpha)
         for logs in itertools.product((0, 1), repeat=k):
-            terms[sum(logs)].append((tuple(alpha), coef))
-    return LogForm.make(n, complex(p), [AngularPart.from_terms(n, t) for t in terms])
+            atoms = terms[sum(logs)]
+            atoms[alpha] = atoms.get(alpha, complex(0)) + coef
+    return LogForm.make(n, complex(p), [AngularPart(n, t) for t in terms])
 
 
 def _lifo_reduced(h):

@@ -187,6 +187,14 @@ def test_op_power_past_overflowing_partial_powers():
     assert op_power("euler_minus_lambda", 436, f).is_zero
 
 
+def test_delta_power_at_own_degree_past_overflowing_partial_powers():
+    # (B - a^0 I)^201 = 0 exactly for the 201x201 dilation matrix B, but its
+    # partial products overflow at a = 10; the power is not formed
+    f = const_form(0, [0] * 200 + [1], n=1)
+    for m, a in ((201, 10.0), (436, 2.0)):
+        assert op_power("delta_a", m, f, a=a).is_zero
+
+
 def test_zero_form_takes_the_general_path():
     for n in (1, 2, 3):
         zero = LogForm.zero(n)

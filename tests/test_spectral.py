@@ -74,6 +74,8 @@ def test_build_R_rejects_bad_arguments():
         build_R(0.0, complex(0), 3)
     with pytest.raises(ValueError):
         build_R(2.0, complex(0), 0)
+    with pytest.raises(ValueError):
+        build_R(2.0, complex(0), 202)
 
 
 def test_group_law_identity_factor():
