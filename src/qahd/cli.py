@@ -15,7 +15,7 @@ import sys
 from . import _json, identify, operators, pairing, spectral
 from .errors import InputError, QahdError, ZeroInputError, check_finite
 from .expr import eval_expr, parse, parse_complex, render
-from .logform import MultiForm, canonicalize
+from .logform import LogForm, MultiForm, canonicalize
 
 
 def _emit(args, payload) -> None:
@@ -48,11 +48,11 @@ def _canon(args) -> MultiForm:
     return canonicalize(tree, args.n)
 
 
-def _single_form(args, verb: str):
-    """The one component of the expression, or None for the zero form."""
+def _single_form(args, verb: str) -> LogForm:
+    """The one component of the expression; the zero form has none."""
     m = _canon(args)
     if m.is_zero:
-        return None
+        return LogForm.zero(args.n)
     if len(m.components()) != 1:
         raise ValueError(f"{verb} expects a single-degree expression")
     return m.components()[0]
@@ -131,8 +131,6 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     form = _single_form(args, "verify")
-    if form is None:
-        raise ZeroInputError("verification of the zero form")
     lam = parse_complex(args.degree)
     report = operators.verify_qahd(
         form, lam, args.order, tuple(args.a_samples), seed=args.seed
@@ -158,7 +156,7 @@ def _cmd_pair(args) -> int:
     phi = _mk_testfn(args)
     spec = pairing.QuadratureSpec(args.kr, args.kw)
     form = _single_form(args, "pairing")
-    value = complex(0) if form is None else pairing.pair(form, phi, spec)
+    value = pairing.pair(form, phi, spec)
     _emit(
         args,
         {
@@ -175,11 +173,7 @@ def _cmd_pair_verify(args) -> int:
     phi = _mk_testfn(args)
     spec = pairing.QuadratureSpec(args.kr, args.kw)
     form = _single_form(args, "pairing")
-    if form is None:
-        raise ZeroInputError("pairing identity needs a nonzero form")
-    report = pairing.verify_pairing_identity(
-        form, phi, args.scale, spec, tolerance=args.tolerance
-    )
+    report = pairing.verify_pairing_identity(form, phi, args.scale, spec)
     _emit(args, report)
     return 0 if report["verdict"] else 1
 
@@ -298,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     pairing_args(p)
     p.add_argument("--scale", type=float, default=2.0, help="dilation a (default 2)")
-    p.add_argument("--tolerance", type=float, default=pairing.DEFAULT_PAIR_TOLERANCE)
     p.set_defaults(fn=_cmd_pair_verify)
 
     p = sub.add_parser("identify", help="recover degree and order from ray samples")

@@ -4,7 +4,7 @@ The radial direction uses Gauss-Legendre on the support interval of the
 bump; the angular direction uses the two-point rule (n=1), a uniform rule
 on the circle (n=2), or Gauss-Legendre in cos(theta) times a uniform
 azimuth rule (n=3).  A `QuadratureSpec` builds these nodes once per
-dimension and keeps them, so all pairings made with one spec (the k+2 of
+dimension and keeps them, so all pairings made with one spec (the three of
 `verify_pairing_identity`) share one rule.
 
 `pair` does only the work whose result is nonzero.  It evaluates the bump in
@@ -29,11 +29,13 @@ from .errors import (
     EvalOverflowError,
     IntegrabilityError,
     QuadratureLimitError,
+    ZeroInputError,
     check_finite,
     check_scale,
 )
 from .logform import LogForm, power_table
 from .operators import op_power
+from .spectral import scale_power
 
 DEFAULT_PAIR_TOLERANCE = 1e-6
 # Largest (radius, direction) grid `pair` builds, checked before any array
@@ -219,39 +221,33 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
 
 
 def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
-                            spec: Optional[QuadratureSpec] = None,
-                            tolerance: float = DEFAULT_PAIR_TOLERANCE) -> dict:
-    """Residual of <F, phi(./a)> = a^(lam+n) [<F,phi> + sum_r log^r a <f_r,phi>/r!].
+                            spec: Optional[QuadratureSpec] = None) -> dict:
+    """Residual of <F, phi(./a)> = a^n (a^lam <F, phi> + <Delta_a(lam) F, phi>).
 
-    Chain members are the canonical ones, (E - lam)^r F / r!.  All k+2
-    pairings share `spec`'s rule (a fresh `QuadratureSpec()` by default).
+    The right side is a^(lam+n) (<F, phi> + <(Delta_a(lam)/a^lam) F, phi>),
+    whose shifted form never carries a^lam and is the zero form at order 0.
+    The three pairings share `spec`'s rule (a fresh `QuadratureSpec()` by
+    default).  The verdict is residual < `DEFAULT_PAIR_TOLERANCE`.
     """
-    check_scale(a, "scale")
     if form.is_zero:
-        raise ValueError("identity check needs a nonzero form")
+        raise ZeroInputError("pairing identity needs a nonzero form")
+    check_scale(a, "scale")
     if spec is None:
         spec = QuadratureSpec()
     lam = form.degree
-    k = form.order
     n = phi.n
     lhs = pair(form, phi.scaled(a), spec)
-    la = np.float64(math.log(a))  # so that la ** r overflows to inf, checked below
-    with np.errstate(all="ignore"):
-        amp = np.exp(complex(lam + n) * la)
-        rhs = pair(form, phi, spec)
-        for r in range(1, k + 1):
-            member = op_power("euler_minus_lambda", r, form).scale(1.0 / math.factorial(r))
-            rhs = rhs + la ** r * pair(member, phi, spec)
-        rhs = amp * rhs
+    shifted = pair(op_power("scaled_delta_a", 1, form, a=a), phi, spec)
+    rhs = scale_power(a, lam + n) * (pair(form, phi, spec) + shifted)
     check_finite(rhs, "pairing identity")
     residual = abs(lhs - rhs) / (1.0 + abs(lhs))
     return {
         "degree": lam,
-        "order": k,
+        "order": form.order,
         "a": float(a),
         "lhs": lhs,
-        "rhs": complex(rhs),
-        "residual": float(residual),
+        "rhs": rhs,
+        "residual": residual,
         "quadrature": spec.to_dict(),
-        "verdict": bool(residual < tolerance),
+        "verdict": bool(residual < DEFAULT_PAIR_TOLERANCE),
     }

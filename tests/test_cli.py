@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +311,15 @@ def test_verify_true_false(capsys):
     assert code == 1
     assert payload["verdict"] is False
     assert payload["criteria"]["structural"] is False
+    # the form's degree is 2.7439999999999998: the dilation criterion divides
+    # out a^lam, so the last bit does not leave |a^lam log a|^4 in it
+    code, payload = invoke_json(
+        capsys, "verify", "-n", "3",
+        "(0.80*x1-0.01*x2+0.85*x3+r)^3*(1+log(r))^4*r^(-0.256)",
+        "--degree", "2.744", "--order", "4",
+    )
+    assert code == 0
+    assert payload["criteria"]["dilation_nilpotency"] < 1e-11
 
 
 def test_matrix(capsys):
@@ -337,6 +348,15 @@ def test_pair(capsys):
     code, payload = invoke_json(capsys, "pair", "-n", "2", "0", "--center", "3", "0")
     assert code == 0
     assert payload["value"] == {"re": 0.0, "im": 0.0}
+    # but its dimension and grid are checked like any other form's
+    for argv, error in (
+        (("-n", "4", "0", "--center", "3", "0", "0", "0"), "DimensionUnsupportedError"),
+        (("-n", "3", "0", "--center", "3", "0", "0", "--kr", "5000", "--kw", "5000"),
+         "QuadratureLimitError"),
+    ):
+        code, payload = invoke_json(capsys, "pair", *argv)
+        assert code == 2
+        assert payload["error"] == error
 
 
 def test_pair_integrability_refusal(capsys):
@@ -355,6 +375,18 @@ def test_pair_verify(capsys):
     assert code == 0
     assert payload["verdict"] is True
     assert payload["residual"] < 1e-7
+    # Delta_a(lam) F is one matrix action, with no chain member carrying
+    # (i+r)!/i! before its 1/r! weight
+    code, payload = invoke_json(
+        capsys, "pair-verify", "-n", "1", "log(r)^200", "--center", "5",
+        "--width", "1", "--scale", "10",
+    )
+    assert code == 0
+    assert payload["residual"] < 1e-12
+    # the verdict threshold is fixed: there is no --tolerance
+    code, out = invoke(capsys, "pair-verify", "-n", "1", "log(r)", "--center", "5",
+                       "--tolerance", "nan")
+    assert code == 2 and out == ""
 
 
 def test_identify_single_ray(capsys):
@@ -570,3 +602,28 @@ def test_exit_code_contract_property(argv):
     assert code in (0, 1, 2, 3)
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def test_benchmark_tracer_bindings_exist_and_are_restored():
+    """The benchmark's tracer wraps qahd functions by name; every binding it
+    names must exist, be replaced while installed and be restored after."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def bound(module_name, attr):
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        return owner
+
+    bindings = [b for layer in tracing.LAYERS.values() for b in layer]
+    originals = [bound(*b) for b in bindings]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(bound(*b) is not f for b, f in zip(bindings, originals))
+    finally:
+        tracer.uninstall()
+    assert all(bound(*b) is f for b, f in zip(bindings, originals))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qahd import _json
 from qahd.errors import NonPositiveScaleError, ZeroInputError
@@ -12,6 +14,7 @@ from qahd.expr import differentiate, eval_expr, parse
 from qahd.logform import AngularPart, LogForm, canonicalize, eval_form, forms_equal
 from qahd.operators import (
     DEFAULT_A_SAMPLES,
+    VERDICT_TOLERANCE,
     chain,
     classify,
     delta,
@@ -379,6 +382,45 @@ def test_verify_rejects_bad_a_samples():
         verify_qahd(f, complex(2), 0, a_samples=[])
     with pytest.raises(NonPositiveScaleError):
         verify_qahd(f, complex(2), 0, a_samples=[2.0, -1.0])
+
+
+def test_verify_far_degree_does_not_overflow():
+    """The dilation criterion divides by the larger of |a^lam| and
+    |a^degree|, so a degree far below the form's leaves no a^(degree-lam)."""
+    (form,) = canonicalize(parse("r", 1), 1).components()
+    report = verify_qahd(form, complex(-1000), 0)
+    assert not report.verdict
+    assert report.dilation_nilpotency >= VERDICT_TOLERANCE
+
+
+def test_verify_refuses_the_zero_form():
+    with pytest.raises(ZeroInputError, match="verification of the zero form"):
+        verify_qahd(LogForm.zero(2), complex(0), 0)
+
+
+@st.composite
+def _expanded_qahd(draw):
+    """(s.x + r)^p (1 + log r)^k r^mu as text, with its degree written to 6
+    decimals: the asserted degree is often a last bit away from the form's."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(3, 4))
+    p = draw(st.integers(2, 4))
+    mu = draw(st.integers(-1000, 1000)) / 1000
+    s = "+".join(f"({draw(st.integers(-100, 100)) / 100})*x{i + 1}" for i in range(n))
+    return n, f"({s}+r)^{p}*(1+log(r))^{k}*r^({mu})", complex(f"{p + mu:.6f}"), k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_expanded_qahd())
+def test_verify_dilation_criterion_at_a_rounded_degree(case):
+    """Delta_a(lam)^(k+1) F is measured relative to |a^lam|^(k+1) ||F||, so a
+    last-bit degree mismatch no longer leaves |a^lam log a|^k in it."""
+    n, text, lam, k = case
+    (form,) = canonicalize(parse(text, n), n).components()
+    assert form.order == k
+    assert verify_qahd(form, lam, k).dilation_nilpotency < 1e-9
+    # the relative criterion on its own still rejects the order below
+    assert verify_qahd(form, lam, k - 1).dilation_nilpotency >= VERDICT_TOLERANCE
 
 
 # --- invariants -----------------------------------------------------------

@@ -20,6 +20,7 @@ from qahd.errors import (
     IntegrabilityError,
     NonPositiveScaleError,
     QuadratureLimitError,
+    ZeroInputError,
 )
 from qahd.logform import AngularPart, CoeffArray, LogForm, power_table
 from qahd.operators import op_power
@@ -267,12 +268,23 @@ def test_change_of_variables_consistency():
         assert abs(direct - via_dilate) <= 1e-9 * (1 + abs(direct))
 
 
+def test_identity_when_a_lam_is_below_the_pruning_threshold():
+    """|a^lam| near 1e-12, from a large degree with a < 1 or a large negative
+    degree with a > 1: a^lam is multiplied in after pairing, so Delta_a(lam) F
+    keeps its coefficients and the right side its log-a term."""
+    for lam, center, width, a in ((40, 5.0, 1.0, 0.5), (-40, 0.5, 0.2, 2.0)):
+        form = const_form(lam, [0, 1], 1)  # r^lam log r
+        rep = verify_pairing_identity(form, TestFunction(1, (center,), width), a)
+        assert abs(a ** lam) < 1e-11
+        assert rep["verdict"] and rep["residual"] < 1e-12, lam
+
+
 def test_identity_rejects_bad_inputs():
     phi = TestFunction(1, (5.0,), 1.0)
     for a in (-1.0, math.nan, math.inf):
         with pytest.raises(NonPositiveScaleError):
             verify_pairing_identity(const_form(0, [1], 1), phi, a)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroInputError):
         verify_pairing_identity(LogForm.zero(1), phi, 2.0)
 
 
@@ -436,7 +448,7 @@ def test_identity_builds_one_rule(monkeypatch):
         return leggauss(deg)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
-    form = const_form(0, [1, 1, 1], 3)  # k = 2: four pairings
+    form = const_form(0, [1, 1, 1], 3)  # k = 2: three pairings
     phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
     assert verify_pairing_identity(form, phi, 2.0)["verdict"]
     assert sorted(calls) == [32, 64]  # polar and radial, once each
@@ -445,3 +457,37 @@ def test_identity_builds_one_rule(monkeypatch):
     for a in (0.5, 2.0):
         verify_pairing_identity(form, phi, a, spec)
     assert sorted(calls[2:]) == [16, 16]
+
+
+def test_identity_pairs_delta_a_with_at_most_three_quadratures(monkeypatch):
+    """The right side is a^n (a^lam <F, phi> + <Delta_a(lam) F, phi>): at most
+    three quadratures at any order, two at k = 0, where Delta_a(lam) F is the
+    zero form.  It equals the chain-member sum
+    a^(lam+n) sum_r (log a)^r / r! <(E - lam)^r F, phi> of the same rule."""
+    calls = []
+    bump = pairing._bump
+
+    def counted(u2):
+        calls.append(u2.shape)
+        return bump(u2)
+
+    monkeypatch.setattr(pairing, "_bump", counted)
+    rng = np.random.default_rng(20261019)
+    spec = QuadratureSpec(32, 32)
+    for n in (1, 2, 3):
+        for k in range(5):
+            form = atom_form(rng, n, k, complex(rng.uniform(-0.5, 1.5), rng.uniform(-1, 1)), 12)
+            assert form.order == k
+            phi = bump_at(rng, n, 2.5, 1.0)
+            a = float(rng.uniform(0.4, 3.0))
+            calls.clear()
+            rep = verify_pairing_identity(form, phi, a, spec)
+            assert len(calls) == (2 if k == 0 else 3), (n, k)
+            la = math.log(a)
+            terms = [la ** r / math.factorial(r)
+                     * pair(op_power("euler_minus_lambda", r, form), phi, spec)
+                     for r in range(k + 1)]
+            amp = cmath.exp((form.degree + n) * la)
+            oracle = amp * sum(terms)
+            size = abs(amp) * sum(abs(t) for t in terms)
+            assert abs(rep["rhs"] - oracle) <= 1e-12 * size, (n, k)
