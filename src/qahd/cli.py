@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / verified, 1 verification failure, 2 usage or input
 errors (`InputError`, `ValueError`), 3 numerical failures (any other
-`QahdError`).  All randomness is seeded from --seed; there is no
-environment-variable configuration.
+`QahdError`).  All randomness is seeded from the --seed of verify and
+identify; there is no environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, expr=True):
+    def common(p, expr=True, seed=False):
         if expr:
             p.add_argument("expr", help="expression in the input DSL")
             p.add_argument("-n", type=int, default=1, help="ambient dimension (default 1)")
@@ -233,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "text"), default="json",
             help="output format (default json)",
         )
-        p.add_argument("--seed", type=int, default=42,
-                       help="RNG seed for sampled checks (default 42)")
+        if seed:
+            p.add_argument("--seed", type=int, default=42,
+                           help="RNG seed for sampled checks (default 42)")
 
     p = sub.add_parser("parse", help="parse and re-render an expression")
     common(p)
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_chain)
 
     p = sub.add_parser("verify", help="check the four QAHD characterizations")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--degree", required=True, help="asserted degree (a or a+bi)")
     p.add_argument("--order", required=True, type=int, help="asserted order k")
     p.add_argument(
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pair_verify)
 
     p = sub.add_parser("identify", help="recover degree and order from ray samples")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--x0", type=float, nargs="+", default=None,
                    help="probe base point (default: multi-probe random directions)")
     p.add_argument("--delta", type=float, default=0.1, help="log step (default 0.1)")

@@ -271,18 +271,9 @@ def eval_form(form: LogForm, x):
 
 
 def forms_equal(f: LogForm, g: LogForm) -> bool:
-    """Equality up to the degree tolerance and the sphere relation."""
-    if f.n != g.n:
-        return False
-    if abs(f._lam - g._lam) > DEGREE_TOLERANCE:
-        return False
-    k = max(len(f.coeffs), len(g.coeffs))
-    for j in range(k):
-        a = f.coeffs[j] if j < len(f.coeffs) else AngularPart(f.n)
-        b = g.coeffs[j] if j < len(g.coeffs) else AngularPart(g.n)
-        if not angular_is_zero(a.sub(b)):
-            return False
-    return True
+    """Equality up to the degree tolerance and the sphere relation: equal
+    dimension and degree, and a difference that is the zero form."""
+    return f.n == g.n and abs(f._lam - g._lam) <= DEGREE_TOLERANCE and f.sub(g).is_zero
 
 
 class MultiForm:

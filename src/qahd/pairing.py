@@ -3,9 +3,10 @@
 The radial direction uses Gauss-Legendre on the support interval of the
 bump; the angular direction uses the two-point rule (n=1), a uniform rule
 on the circle (n=2), or Gauss-Legendre in cos(theta) times a uniform
-azimuth rule (n=3).  A `QuadratureSpec` builds these nodes once per
-dimension and keeps them, so all pairings made with one spec (the three of
-`verify_pairing_identity`) share one rule.
+azimuth rule (n=3).  `QuadratureSpec.rule` checks the dimension and the
+grid size before it builds anything.  The Gauss-Legendre nodes of each
+degree are computed once per process (`_gauss`), so the pairings of one
+`verify_pairing_identity`, and all pairings at one node count, share them.
 
 `pair` does only the work whose result is nonzero.  It evaluates the bump in
 polar form, |r omega - c|^2 = (r - omega.c)^2 + |c - (omega.c) omega|^2, on
@@ -18,8 +19,9 @@ It sums over directions before radii: M = bump @ (w_omega h_j(omega)) is
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -41,6 +43,9 @@ DEFAULT_PAIR_TOLERANCE = 1e-6
 # Largest (radius, direction) grid `pair` builds, checked before any array
 # is: 4x the 128 x 8192 grid of n = 3 at 128 nodes.
 MAX_QUADRATURE_VALUES = 4 * 128 * 8192
+# Largest Gauss-Legendre degree `_gauss` computes: numpy's leggauss solves a
+# dense degree x degree eigenproblem, about 0.6 s and 0.1 GiB at 2048.
+MAX_GAUSS_NODES = 2048
 
 
 def _bump(u2: np.ndarray) -> np.ndarray:
@@ -90,21 +95,32 @@ class TestFunction:
         return (max(0.0, c - self.width), c + self.width)
 
     def contains_origin(self) -> bool:
-        c = math.sqrt(sum(v * v for v in self.center))
-        return c <= self.width
+        # |c| - width <= 0 exactly when |c| <= width, for finite floats
+        return self.support_radii()[0] == 0.0
 
     def to_dict(self) -> dict:
         return {"n": self.n, "center": list(self.center), "width": self.width}
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss(degree: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once
+    per degree per process; a degree above `MAX_GAUSS_NODES` is refused."""
+    if degree > MAX_GAUSS_NODES:
+        raise QuadratureLimitError(
+            f"{degree} Gauss-Legendre nodes exceed the limit {MAX_GAUSS_NODES}"
+        )
+    nodes, weights = np.polynomial.legendre.leggauss(degree)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts of the pairing quadrature, and the rules built from them."""
+    """Node counts of the pairing quadrature."""
 
     radial: int = 64
     angular: int = 64
-    # dimension -> rule, filled by `rule`; lives and dies with the spec
-    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radial < 4 or self.angular < 4:
@@ -115,47 +131,41 @@ class QuadratureSpec:
 
     def rule(self, n: int):
         """Gauss-Legendre nodes and weights on [-1, 1], each (Kr,), unit
-        directions (Kd, n) and their weights (Kd,); built on first use."""
-        if n not in self._rules:
-            nodes, weights = np.polynomial.legendre.leggauss(self.radial)
-            self._rules[n] = (nodes, weights) + _angular_rule(n, self)
-        return self._rules[n]
+        directions (Kd, n) and their weights (Kd,).
+
+        The dimension, the grid size Kr * Kd and the Gauss degrees are
+        checked before anything is built.
+        """
+        if n not in (1, 2, 3):
+            raise DimensionUnsupportedError(f"pairing supports n in 1..3, got {n}")
+        polar = max(4, self.angular // 2)  # Gauss nodes in cos(theta) at n = 3
+        size = self.radial * (2, self.angular, polar * self.angular)[n - 1]
+        if size > MAX_QUADRATURE_VALUES:
+            raise QuadratureLimitError(
+                f"quadrature grid of {size} (radius, direction) values exceeds the "
+                f"limit {MAX_QUADRATURE_VALUES}"
+            )
+        return _gauss(self.radial) + _angular_rule(n, self.angular, polar)
 
     def to_dict(self) -> dict:
         return {"Kr": self.radial, "Kw": self.angular}
 
 
-def _direction_count(n: int, spec: QuadratureSpec) -> int:
-    """Number of directions `_angular_rule` returns."""
+def _angular_rule(n: int, azimuth: int, polar: int):
+    """Directions (Kd, n) and weights (Kd,) for the sphere integral: two at
+    n = 1, `azimuth` on the circle, `polar` x `azimuth` on the sphere."""
     if n == 1:
-        return 2
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    phi = 2.0 * math.pi * np.arange(azimuth) / azimuth
+    w_phi = np.full(azimuth, 2.0 * math.pi / azimuth)
     if n == 2:
-        return spec.angular
-    return max(4, spec.angular // 2) * spec.angular
-
-
-def _angular_rule(n: int, spec: QuadratureSpec):
-    """Directions (Kd, n) and weights (Kd,) for the sphere integral."""
-    if n == 1:
-        omega = np.array([[1.0], [-1.0]])
-        weights = np.array([1.0, 1.0])
-    elif n == 2:
-        theta = 2.0 * math.pi * np.arange(spec.angular) / spec.angular
-        omega = np.column_stack([np.cos(theta), np.sin(theta)])
-        weights = np.full(spec.angular, 2.0 * math.pi / spec.angular)
-    elif n == 3:
-        k_polar = max(4, spec.angular // 2)
-        u, wu = np.polynomial.legendre.leggauss(k_polar)
-        phi = 2.0 * math.pi * np.arange(spec.angular) / spec.angular
-        sin_t = np.sqrt(1.0 - u ** 2)
-        ox = np.outer(sin_t, np.cos(phi)).ravel()
-        oy = np.outer(sin_t, np.sin(phi)).ravel()
-        oz = np.outer(u, np.ones_like(phi)).ravel()
-        omega = np.column_stack([ox, oy, oz])
-        weights = np.outer(wu, np.full(spec.angular, 2.0 * math.pi / spec.angular)).ravel()
-    else:
-        raise DimensionUnsupportedError(f"pairing supports n in 1..3, got {n}")
-    return omega, weights
+        return np.column_stack([np.cos(phi), np.sin(phi)]), w_phi
+    u, wu = _gauss(polar)
+    sin_t = np.sqrt(1.0 - u ** 2)
+    ox = np.outer(sin_t, np.cos(phi)).ravel()
+    oy = np.outer(sin_t, np.sin(phi)).ravel()
+    oz = np.outer(u, np.ones_like(phi)).ravel()
+    return np.column_stack([ox, oy, oz]), np.outer(wu, w_phi).ravel()
 
 
 def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None) -> complex:
@@ -166,24 +176,17 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
     if spec is None:
         spec = QuadratureSpec()
     n = phi.n
-    if n not in (1, 2, 3):
-        raise DimensionUnsupportedError(f"pairing supports n in 1..3, got {n}")
-    size = spec.radial * _direction_count(n, spec)
-    if size > MAX_QUADRATURE_VALUES:
-        raise QuadratureLimitError(
-            f"quadrature grid of {size} (radius, direction) values exceeds the "
-            f"limit {MAX_QUADRATURE_VALUES}"
-        )
+    nodes, w_r, omega, w_a = spec.rule(n)
     if form.is_zero:
         return complex(0)
     if form.n != n:
         raise ValueError("form and test function dimensions differ")
     lam = form.degree
-    if lam.real <= -n and phi.contains_origin():
+    r_lo, r_hi = phi.support_radii()  # r_lo == 0.0: the origin is in the support
+    if lam.real <= -n and r_lo == 0.0:
         raise IntegrabilityError(
             f"degree {lam} is not locally integrable with the origin in the support"
         )
-    r_lo, r_hi = phi.support_radii()
     with np.errstate(over="ignore"):
         w2 = np.float64(phi.width) ** 2
     # |c| and width^2 are taken in absolute units, so they can overflow
@@ -193,7 +196,6 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
             f"bump width {phi.width} is below the float resolution of its "
             f"distance {r_hi} from the origin"
         )
-    nodes, w_r, omega, w_a = spec.rule(n)
     r = 0.5 * (r_hi - r_lo) * nodes + 0.5 * (r_hi + r_lo)
     w_r = 0.5 * (r_hi - r_lo) * w_r
 
@@ -202,7 +204,7 @@ def pair(form: LogForm, phi: TestFunction, spec: Optional[QuadratureSpec] = None
         p = omega @ c
         # squared distance from c to each direction's line, |c|^2 - p^2
         q2 = np.sum((c - p[:, None] * omega) ** 2, axis=1)
-        if not phi.contains_origin():
+        if r_lo > 0.0:
             keep = (p > 0) & (q2 < w2)
             omega, w_a, p, q2 = omega[keep], w_a[keep], p[keep], q2[keep]
         u2 = np.subtract.outer(r, p)  # (Kr, Kd), built in place
@@ -226,8 +228,8 @@ def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
 
     The right side is a^(lam+n) (<F, phi> + <(Delta_a(lam)/a^lam) F, phi>),
     whose shifted form never carries a^lam and is the zero form at order 0.
-    The three pairings share `spec`'s rule (a fresh `QuadratureSpec()` by
-    default).  The verdict is residual < `DEFAULT_PAIR_TOLERANCE`.
+    The three pairings use `spec` (a fresh `QuadratureSpec()` by default)
+    and so the same nodes.  The verdict is residual < `DEFAULT_PAIR_TOLERANCE`.
     """
     if form.is_zero:
         raise ZeroInputError("pairing identity needs a nonzero form")
@@ -240,7 +242,11 @@ def verify_pairing_identity(form: LogForm, phi: TestFunction, a: float,
     shifted = pair(op_power("scaled_delta_a", 1, form, a=a), phi, spec)
     rhs = scale_power(a, lam + n) * (pair(form, phi, spec) + shifted)
     check_finite(rhs, "pairing identity")
-    residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+    try:
+        residual = abs(lhs - rhs) / (1.0 + abs(lhs))
+    except OverflowError:  # |lhs| can leave the float range though its parts do not
+        residual = math.inf
+    check_finite(residual, "pairing identity residual")
     return {
         "degree": lam,
         "order": form.order,

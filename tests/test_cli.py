@@ -5,14 +5,15 @@ import importlib.util
 import io
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qahd import _json, cli, errors
+from qahd import _json, cli, errors, pairing
 from qahd.cli import parse_complex, run
 
 
@@ -140,6 +141,8 @@ def test_overflow_exit_code(capsys):
         ("pair", "-n", "1", "1e300*r^300", "--center", "5", "--width", "1"),
         ("pair-verify", "-n", "1", "r", "--center", "5", "--scale", "1e308"),
         ("pair-verify", "-n", "1", "log(r)^150", "--center", "5", "--scale", "1e300"),
+        # |lhs| leaves the float range though its real and imaginary parts do not
+        ("pair-verify", "-n", "1", "(1e308+1e308i)", "--center", "5", "--scale", "3"),
         # finite inputs whose floats leave the range: no traceback, no warning
         ("identify", "-n", "1", "r", "--delta", "1e300", "--x0", "1"),
         ("identify", "-n", "1", "r", "--x0", "1e300"),
@@ -170,7 +173,7 @@ def test_non_finite_bump_and_scale_exit_code(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("quadrature nodes built for a non-finite input")
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(pairing, "_gauss", refuse)
     for argv, error in (
         (("pair", "-n", "2", "r", "--center", "3", "0", "--width", "nan"), "NonPositiveScaleError"),
         (("pair", "-n", "2", "r", "--center", "3", "0", "--width", "inf"), "NonPositiveScaleError"),
@@ -215,17 +218,49 @@ def test_malformed_input_exit_code(capsys):
 
 
 def test_quadrature_limit_exit_code(capsys, monkeypatch):
-    # the limit is checked before any node or grid is built
+    # the limits are checked before any node or grid is built: a grid past
+    # MAX_QUADRATURE_VALUES, and grids within it whose radial Gauss degree is
+    # past MAX_GAUSS_NODES (numpy's dense degree x degree eigenproblem)
     def refuse(*args):
-        raise AssertionError("quadrature nodes built past the grid limit")
+        raise AssertionError("quadrature nodes built past a limit")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-    code, payload = invoke_json(
-        capsys, "pair", "-n", "3", "r", "--center", "3", "0", "0",
-        "--kr", "1024", "--kw", "1024",
-    )
-    assert code == 2
-    assert payload["error"] == "QuadratureLimitError"
+    pairing._gauss.cache_clear()
+    for argv in (
+        ("pair", "-n", "3", "r", "--center", "3", "0", "0", "--kr", "1024", "--kw", "1024"),
+        ("pair", "-n", "1", "r", "--center", "5", "--kr", "100000", "--kw", "4"),
+        ("pair", "-n", "2", "r", "--center", "5", "0", "--kr", "2049", "--kw", "4"),
+        ("pair-verify", "-n", "1", "r", "--center", "5", "--kr", "20000"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 2, argv
+        assert payload["error"] == "QuadratureLimitError"
+
+
+def test_seed_only_on_seeded_verbs(capsys):
+    for argv in (
+        ("parse", "r"), ("classify", "r"), ("apply", "r", "--op", "euler"), ("chain", "r"),
+        ("matrix", "--a", "2"), ("pair", "r", "--center", "5"),
+        ("pair-verify", "r", "--center", "5"),
+    ):
+        code, _ = invoke(capsys, *argv, "--seed", "1")
+        assert code == 2, argv
+    for argv in (
+        ("verify", "r", "--degree", "1", "--order", "0"),
+        ("identify", "r"),
+    ):
+        code, _ = invoke(capsys, *argv, "--seed", "1")
+        assert code == 0, argv
+
+
+def test_readme_usage_examples_succeed(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in readme.splitlines() if line.startswith("qahd ")]
+    assert len(examples) == 9
+    for argv in examples:
+        code, _ = invoke(capsys, *argv)
+        assert code == 0, argv
 
 
 def test_classify_zero_input(capsys):
@@ -574,7 +609,8 @@ def _argv(draw):
         if draw(st.booleans()):
             argv += ["--a-samples", *draw(st.lists(_VALUES, min_size=1, max_size=3))]
     elif verb in ("pair", "pair-verify"):
-        nodes = st.integers(3, 32)
+        # node counts past MAX_GAUSS_NODES are refused, not computed
+        nodes = st.one_of(st.integers(3, 32), st.sampled_from((2049, 100000)))
         argv += ["--center", *[draw(_VALUES) for _ in range(n)],
                  opt("--width"), opt("--kr", nodes), opt("--kw", nodes)]
         if verb == "pair-verify":
@@ -593,6 +629,9 @@ def _refuse_constant(name):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_argv())
+# a valid pairing whose radial node count is past MAX_GAUSS_NODES, which the
+# random draws above reach only with an invalid bump
+@example(["pair", "r", "-n", "1", "--center", "5", "--kr=100000", "--kw=4"])
 def test_exit_code_contract_property(argv):
     """Every command line ends in an exit code of the contract and valid JSON
     or nothing on stdout: no traceback and no floating-point warning."""

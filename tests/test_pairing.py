@@ -177,7 +177,7 @@ def test_quadrature_limit_checked_before_allocation(monkeypatch):
         raise Built
 
     # past the limit nothing is built; up to it, the nodes are (and raise here)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", built)
+    monkeypatch.setattr(pairing, "_gauss", built)
     monkeypatch.setattr(pairing, "_angular_rule", built)
     form = const_form(0, [1], 3)
     phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
@@ -194,6 +194,39 @@ def test_quadrature_limit_checked_before_allocation(monkeypatch):
     line = TestFunction(1, (3.0,), 1.0)
     with pytest.raises(QuadratureLimitError):
         pair(const_form(0, [1], 1), line, QuadratureSpec(pairing.MAX_QUADRATURE_VALUES, 4))
+
+
+def test_gauss_degree_limit_checked_before_leggauss(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("leggauss called past the degree limit")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    form = const_form(0, [1], 1)
+    line = TestFunction(1, (3.0,), 1.0)
+    # grids within MAX_QUADRATURE_VALUES whose radial degree is past the bound
+    for spec in (QuadratureSpec(pairing.MAX_GAUSS_NODES + 1, 4), QuadratureSpec(100000, 4)):
+        with pytest.raises(QuadratureLimitError, match="Gauss-Legendre nodes exceed"):
+            pair(form, line, spec)
+        with pytest.raises(QuadratureLimitError, match="Gauss-Legendre nodes exceed"):
+            verify_pairing_identity(form, line, 2.0, spec)
+    # the grid limit comes first, with its own message
+    with pytest.raises(QuadratureLimitError, match="quadrature grid of"):
+        pair(const_form(0, [1], 3), TestFunction(3, (3.0, 0.0, 0.0), 1.0),
+             QuadratureSpec(4097, 1024))
+
+
+def test_rule_nodes_are_read_only_and_shared():
+    for n in (1, 2, 3):
+        nodes, weights, omega, w_a = QuadratureSpec(32, 16).rule(n)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        assert omega.shape == (len(w_a), n)
+    # equal specs, and equal degrees in any spec, share one pair of arrays
+    assert QuadratureSpec(32, 16).rule(2)[0] is QuadratureSpec(32, 64).rule(3)[0]
+    assert pairing._gauss(32) is pairing._gauss(32)
 
 
 def test_quadrature_spec_validation():
@@ -321,7 +354,7 @@ def dense_pair(form, phi, spec):
     nodes, w_r = np.polynomial.legendre.leggauss(spec.radial)
     r = 0.5 * (r_hi - r_lo) * nodes + 0.5 * (r_hi + r_lo)
     w_r = 0.5 * (r_hi - r_lo) * w_r
-    omega, w_a = pairing._angular_rule(n, spec)  # (Kd, n), (Kd,)
+    omega, w_a = spec.rule(n)[2:]  # (Kd, n), (Kd,)
 
     radial = np.exp((form.degree + (n - 1)) * np.log(r.astype(complex)))
     grid = power_table(np.log(r), len(form.coeffs)) @ form.arrays().angular(omega).T
@@ -428,7 +461,7 @@ def test_pair_evaluates_only_directions_meeting_the_support(monkeypatch):
     phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
     spec = QuadratureSpec(128, 128)
     pair(const_form(0, [1, 1], 3), phi, spec)
-    omega, _ = pairing._angular_rule(3, spec)
+    omega, _ = spec.rule(3)[2:]
     # the ray {t omega : t >= 0} meets the open ball iff omega points toward
     # the centre and its line passes closer to it than the width
     c = np.array(phi.center)
@@ -448,15 +481,17 @@ def test_identity_builds_one_rule(monkeypatch):
         return leggauss(deg)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    pairing._gauss.cache_clear()
     form = const_form(0, [1, 1, 1], 3)  # k = 2: three pairings
     phi = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
     assert verify_pairing_identity(form, phi, 2.0)["verdict"]
     assert sorted(calls) == [32, 64]  # polar and radial, once each
-    # the rule lives with the spec: a second check with it builds nothing
+    # the nodes are kept per degree for the process, not per spec: two more
+    # checks compute only degree 16, which radial and polar share
     spec = QuadratureSpec(16, 32)
     for a in (0.5, 2.0):
         verify_pairing_identity(form, phi, a, spec)
-    assert sorted(calls[2:]) == [16, 16]
+    assert sorted(calls[2:]) == [16]
 
 
 def test_identity_pairs_delta_a_with_at_most_three_quadratures(monkeypatch):
