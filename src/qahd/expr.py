@@ -395,6 +395,20 @@ def radii(points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def const_power(b: complex, c: complex) -> complex:
+    """b^c for constants: b ** m for an integral c, so that no digit changes,
+    else exp(c log b), 0 at b = 0.  Out of range raises EvalOverflowError."""
+    try:
+        if c.imag == 0 and c.real.is_integer():
+            value = b ** int(c.real)  # ZeroDivisionError where b^|m| underflows to 0
+        else:
+            value = cmath.exp(c * cmath.log(b)) if b != 0 else complex(0)
+    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: c infinite
+        value = complex(cmath.inf)
+    check_finite(value, "constant power {}^{}", b, c)
+    return value
+
+
 def eval_expr(e: Expression, x):
     """Evaluate at the rows of x (m, n), none of them 0, in one numpy pass.
 
@@ -449,12 +463,7 @@ def _eval(e, cols, r, ln_r):
         if integral and c.real < 0 and np.any(b == 0):
             raise EvalOverflowError("zero base with negative exponent")
         if not isinstance(b, np.ndarray):
-            try:
-                if integral:
-                    return b ** int(c.real)
-                return cmath.exp(c * cmath.log(b)) if b != 0 else complex(0)
-            except (OverflowError, ValueError):  # ValueError: an infinite exponent
-                return complex(cmath.inf)  # reported by eval_expr's check
+            return const_power(b, c)
         if integral:
             return b ** int(c.real)
         zero = b == 0

@@ -130,13 +130,17 @@ def prony_recover(series: SampleSeries, k_max: int):
     not depend on them.
     """
     u = np.asarray(series.values, dtype=complex)
-    scale = float(np.max(np.abs(u)))
-    if scale == 0.0:
+    half = float(np.max(np.abs(u / 2)))  # max|u| can overflow, max|u/2| cannot
+    if half == 0.0:
         raise NoFitError("sample series is identically zero")
     if series.count < 2 * (k_max + 1) + 1:
         raise InsufficientSamplesError(
             f"need at least {2 * (k_max + 1) + 1} samples, have {series.count}"
         )
+    # fit u / 2^e, 2^e near max|u| (ldexp: u / tiny 2^e overflows in numpy)
+    e = math.frexp(half)[1] - 1
+    w = np.ldexp(u.view(float), -e).view(complex)
+    scale = math.ldexp(half, 1 - e)
     # smallest order whose recurrence both fits and has a single root
     # cluster; a fitting order whose roots split can still be an
     # undershoot (small top term), so keep looking at higher orders and
@@ -144,7 +148,7 @@ def prony_recover(series: SampleSeries, k_max: int):
     chosen = None
     split = None
     for p in range(1, k_max + 2):
-        c, residual = _fit_recurrence(u, p)
+        c, residual = _fit_recurrence(w, p)
         if residual > FIT_RESIDUAL_FACTOR * scale:
             continue
         # mean root of z^p - c[p-1] z^(p-1) - ... - c[0]
@@ -182,7 +186,7 @@ def prony_recover(series: SampleSeries, k_max: int):
         q = u * np.exp(-lam * t)
     vand = np.vander(t, k + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(vand, q, rcond=None)
-    return lam, k, tuple(complex(v) for v in coeffs), residual
+    return lam, k, tuple(complex(v) for v in coeffs), math.ldexp(residual, e)
 
 
 def multi_probe_recover(f: Callable, n: int, k_max: int, *, delta: float = 0.1,
@@ -211,15 +215,12 @@ def multi_probe_recover(f: Callable, n: int, k_max: int, *, delta: float = 0.1,
         raise NoFitError("no probe direction produced a fit")
     # majority degree by clustering
     clusters: list[list] = []
-    for lam, k, residual in results:
+    for item in results:
         for cluster in clusters:
-            if abs(cluster[0][0] - lam) < 1e-5:
-                cluster.append((lam, k, residual))
+            if abs(cluster[0][0] - item[0]) < 1e-5:
+                cluster.append(item)
                 break
         else:
-            clusters.append([(lam, k, residual)])
-    best = max(clusters, key=len)
-    lam = complex(np.mean([item[0] for item in best]))
-    k = max(item[1] for item in best)
-    residual = max(item[2] for item in best)
-    return lam, k, residual
+            clusters.append([item])
+    lams, ks, residuals = zip(*max(clusters, key=len))
+    return complex(np.mean(lams)), max(ks), max(residuals)

@@ -8,7 +8,7 @@ equality well defined.
 
 from __future__ import annotations
 
-import cmath
+import math
 import operator
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -44,9 +44,13 @@ class AngularPart:
         self.n = n
         pruned: Dict[Alpha, complex] = {}
         if atoms:
-            for alpha, c in atoms.items():
-                if abs(c) > COEFF_ZERO_THRESHOLD:
-                    pruned[tuple(alpha)] = complex(c)
+            try:
+                for alpha, c in atoms.items():
+                    if abs(c) > COEFF_ZERO_THRESHOLD:
+                        pruned[tuple(alpha)] = complex(c)
+            except OverflowError:  # a |c| past the float range though its parts are not
+                pruned = {tuple(alpha): complex(c) for alpha, c in atoms.items()
+                          if abs(0.5 * c) > 0.5 * COEFF_ZERO_THRESHOLD}
         self.atoms = pruned
 
     def add(self, other: "AngularPart") -> "AngularPart":
@@ -62,7 +66,10 @@ class AngularPart:
         return self.add(other.scale(complex(-1)))
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.atoms.values()), default=0.0)
+        try:
+            return max((abs(c) for c in self.atoms.values()), default=0.0)
+        except OverflowError:  # a |c| past the float range though its parts are not
+            return math.inf
 
     def reduced(self) -> "AngularPart":
         """Normal form modulo x1^2/r^2 -> 1 - sum_{i>=2} x_i^2/r^2.
@@ -94,7 +101,7 @@ class AngularPart:
 
 def angular_is_zero(h: AngularPart) -> bool:
     """True iff h vanishes identically on the sphere (syzygy-aware)."""
-    return h.reduced().max_abs() <= COEFF_ZERO_THRESHOLD
+    return not h.reduced().atoms  # every atom kept is above the threshold
 
 
 class CoeffArray:
@@ -394,21 +401,11 @@ def _expand(e, n) -> Monomials:
                 raise NotInClassError("negative log power is outside the class")
             return {(zero_alpha, complex(0), m): complex(1)}
         if isinstance(base, ex.Constant):
-            integral = c.imag == 0 and c.real.is_integer()
-            if base.value == 0:
-                if not integral:
-                    return {}
-                if c.real < 0:
-                    raise NotInClassError("zero base with negative exponent")
-            try:
-                if integral:
-                    value = base.value ** int(c.real)
-                else:
-                    value = cmath.exp(c * cmath.log(base.value))
-            except (OverflowError, ValueError):  # ValueError: an infinite exponent
-                value = complex(cmath.inf)  # reported below
-            check_finite(value, "constant power {}^{}", base.value, c)
-            return {(zero_alpha, complex(0), 0): value}
+            if base.value == 0 and (c.imag or not c.real.is_integer()):
+                return {}
+            if base.value == 0 and c.real < 0:
+                raise NotInClassError("zero base with negative exponent")
+            return {(zero_alpha, complex(0), 0): ex.const_power(base.value, c)}
         m = _as_int(c, "a compound-base power")
         if m < 0:
             raise NotInClassError("negative power of a compound base")

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qahd.logform import AngularPart, LogForm
 from qahd.operators import random_points  # noqa: F401  (shared with the suites)
@@ -109,6 +110,67 @@ class ExprGen:
             op = "+" if self.rng.random() < 0.5 else "-"
             parts.append(f"{op} {self.term(depth)}")
         return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# DSL text for the hypothesis properties: one strategy, over ordinary
+# literals by default and over extreme ones for the exit-code contract.
+
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+NUMBER = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.floats(0, 1e6).map(repr),
+    st.sampled_from([".5", "1.", "2.50", "1e3", "1E-2", "0.0", "007", ".25e+2"]),
+)
+# literals at the edges of the float range: subnormal, huge, zero, and a
+# complex one whose modulus is past the range though its parts are not
+EXTREME_NUMBER = st.sampled_from(["0", "2", ".5", "1e-200", "1e-320", "1e308", "1.3e308"])
+# exponents that take such constants past the range, or to a zero base
+EXTREME_EXPONENT = st.sampled_from(["(-2)", "(-40)", "(-1)", "170", "0.5", "(1+2i)", "2"])
+DIVISOR = st.sampled_from(["r", "x1", "x2^2", "r^(1-2i)", "x1^( - .5)"])
+
+
+@st.composite
+def literal(draw, numbers=NUMBER, real_sign=("", "-", "- ")):
+    """A parenthesised literal; '+' leads only a complex one, as in a base."""
+    imag = draw(st.booleans())
+    sign = draw(st.sampled_from(("", "-", "+", "- ", "+ ") if imag else real_sign))
+    body = sign + draw(numbers)
+    if imag:
+        body += "".join([
+            draw(SPACE), draw(st.sampled_from("+-")), draw(SPACE),
+            draw(numbers), draw(SPACE), "i",
+        ])
+    return f"({draw(SPACE)}{body}{draw(SPACE)})"
+
+
+@st.composite
+def dsl(draw, numbers=NUMBER, exponents=None, depth=0):
+    """DSL text over x1, x2 rich in literals: paren literals, complex
+    exponents, spaces.  `exponents` defaults to `numbers` and their literals."""
+    if exponents is None:
+        exponents = st.one_of(numbers, literal(numbers, real_sign=("", "-", "+", "- ")))
+    bases = [numbers, literal(numbers), st.sampled_from(["r", "log(r)", "x1", "x2"])]
+    if depth < 2:
+        bases.append(dsl(numbers, exponents, depth + 1).map(lambda t: f"({t})"))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for k in range(draw(st.integers(1, 3))):
+            if k and draw(st.booleans()):
+                factors.append("/" + draw(SPACE) + draw(DIVISOR))
+                continue
+            f = draw(st.one_of(*bases))
+            if draw(st.booleans()):
+                f += draw(SPACE) + "^" + draw(SPACE) + draw(exponents)
+            if draw(st.integers(0, 4)) == 0:
+                f = "-" + f
+            factors.append(("*" + draw(SPACE) if k else "") + f)
+        terms.append(draw(SPACE).join(factors))
+    return "".join(
+        t if k == 0 else draw(st.sampled_from([" + ", "-", " - ", "+"])) + t
+        for k, t in enumerate(terms)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from qahd import _json, cli, errors, pairing
 from qahd.cli import parse_complex, run
+
+from conftest import EXTREME_EXPONENT, EXTREME_NUMBER, dsl
 
 
 def invoke(capsys, *argv):
@@ -166,6 +169,38 @@ def test_overflow_exit_code(capsys):
         code, payload = invoke_json(capsys, *argv)
         assert code == 3, argv
         assert payload["error"] == "EvalOverflowError"
+
+
+def test_extreme_constant_exit_code(capsys):
+    # a constant power past the float range exits 3 in every verb: Python's
+    # complex b^(-m) divides by zero when b^m underflows to 0
+    for argv in (
+        ("classify", "(1e-200)^(-2)"),
+        ("identify", "-n", "1", "(1e-200)^(-40)+r"),
+        ("identify", "-n", "1", "(1e-200)^(-2)*r", "--x0", "1"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 3, argv
+        assert payload["error"] == "EvalOverflowError"
+    # |c| is past the float range though its parts are not: c is kept, and
+    # no verb ends in a traceback
+    big = "(1.3e308+1.3e308i)"
+    code, payload = invoke_json(capsys, "classify", big)
+    assert (code, payload) == (0, [{"degree": {"re": 0.0, "im": 0.0}, "order": 0}])
+    for argv in (
+        ("chain", big),
+        ("verify", big, "--degree", "0", "--order", "0"),
+        ("pair-verify", "-n", "1", big, "--center", "5"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 0, argv
+    # identify fits samples of any scale: no overflow in the fit, no
+    # non-finite residual reported as an input error
+    for expr, k in (("log(r)*1e308", 1), (big, 0), ("log(r)*1e-300", 1)):
+        code, payload = invoke_json(capsys, "identify", "-n", "1", expr)
+        assert code == 0, expr
+        assert payload["k"] == k
+        assert abs(complex(payload["lambda"]["re"], payload["lambda"]["im"])) < 1e-12
 
 
 def test_non_finite_bump_and_scale_exit_code(capsys, monkeypatch):
@@ -637,6 +672,42 @@ def test_exit_code_contract_property(argv):
     or nothing on stdout: no traceback and no floating-point warning."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+# the verbs that read an expression, with options that leave the outcome to it
+_EXPRESSION_VERBS = {
+    "parse": [], "classify": [], "chain": [], "identify": [],
+    "apply": ["--op", "dilate=2"],
+    "verify": ["--degree", "0", "--order", "0"],
+    "pair": ["--center", "3", "1"],
+    "pair-verify": ["--center", "3", "1"],
+}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.builds(
+    lambda verb, text: [verb, text, "-n", "2", *_EXPRESSION_VERBS[verb]],
+    st.sampled_from(sorted(_EXPRESSION_VERBS)),
+    dsl(EXTREME_NUMBER, EXTREME_EXPONENT),
+))
+# one row per class of traceback found by fuzzing the expression text: |c|
+# past the float range, a constant power that divides by zero in expansion
+# and in evaluation, and an overflow inside identify's fit
+@example(["classify", "(1.3e308+1.3e308i)", "-n", "2"])
+@example(["classify", "(1e-200)^(-2)", "-n", "2"])
+@example(["identify", "(1e-200)^(-40)+r", "-n", "2"])
+@example(["identify", "log(r)*1e308", "-n", "1"])
+def test_expression_text_contract_property(argv):
+    """DSL text with extreme literals, through every verb that reads an
+    expression: an exit code of the contract and valid JSON or nothing on
+    stdout, no traceback and no floating-point warning."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = run(argv)
     assert code in (0, 1, 2, 3)
     if out.getvalue():

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qahd.errors import (
     DimensionError,
@@ -28,7 +27,7 @@ from qahd.expr import (
     render,
 )
 
-from conftest import ExprGen, random_points
+from conftest import ExprGen, dsl, random_points
 
 
 def test_parse_single_power():
@@ -239,60 +238,8 @@ def test_literal_table(text, want):
         assert err.value.position == position
 
 
-_SPACE = st.sampled_from(["", " ", "  ", "\t"])
-_NUMBER = st.one_of(
-    st.integers(0, 10**6).map(str),
-    st.floats(0, 1e6).map(repr),
-    st.sampled_from([".5", "1.", "2.50", "1e3", "1E-2", "0.0", "007", ".25e+2"]),
-)
-
-
-@st.composite
-def _literal(draw, real_sign=("", "-", "- ")):
-    """A parenthesised literal; '+' leads only a complex one, as in a base."""
-    imag = draw(st.booleans())
-    sign = draw(st.sampled_from(("", "-", "+", "- ", "+ ") if imag else real_sign))
-    body = sign + draw(_NUMBER)
-    if imag:
-        body += "".join([
-            draw(_SPACE), draw(st.sampled_from("+-")), draw(_SPACE),
-            draw(_NUMBER), draw(_SPACE), "i",
-        ])
-    return f"({draw(_SPACE)}{body}{draw(_SPACE)})"
-
-
-_EXPONENT = st.one_of(_NUMBER, _literal(real_sign=("", "-", "+", "- ")))
-_DIVISOR = st.sampled_from(["r", "x1", "x2^2", "r^(1-2i)", "x1^( - .5)"])
-
-
-@st.composite
-def _dsl(draw, depth=0):
-    """DSL text rich in literals: paren literals, complex exponents, spaces."""
-    bases = [_NUMBER, _literal(), st.sampled_from(["r", "log(r)", "x1", "x2"])]
-    if depth < 2:
-        bases.append(_dsl(depth + 1).map(lambda t: f"({t})"))
-    terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        factors = []
-        for k in range(draw(st.integers(1, 3))):
-            if k and draw(st.booleans()):
-                factors.append("/" + draw(_SPACE) + draw(_DIVISOR))
-                continue
-            f = draw(st.one_of(*bases))
-            if draw(st.booleans()):
-                f += draw(_SPACE) + "^" + draw(_SPACE) + draw(_EXPONENT)
-            if draw(st.integers(0, 4)) == 0:
-                f = "-" + f
-            factors.append(("*" + draw(_SPACE) if k else "") + f)
-        terms.append(draw(_SPACE).join(factors))
-    return "".join(
-        t if k == 0 else draw(st.sampled_from([" + ", "-", " - ", "+"])) + t
-        for k, t in enumerate(terms)
-    )
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(_dsl())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dsl())
 def test_render_round_trip_property(text):
     tree = parse(text, 2)
     assert parse(render(tree), 2) == tree

@@ -219,3 +219,23 @@ def test_multi_probe_direction_degeneracy():
     lam, k, _ = multi_probe_recover(lambda x: eval_form(f, x), 2, k_max=3)
     assert abs(lam - 1.0) < 1e-6
     assert k == 1
+
+
+def test_identify_does_not_depend_on_the_samples_scale():
+    # c F for c from 1e-300 to 1e308: the recurrence is fitted to samples
+    # scaled by a power of two near their maximum, so neither the fit nor
+    # the sum of squares overflows, and the residual scales with c
+    from qahd.expr import parse
+    from qahd.logform import canonicalize
+
+    tree = parse("0.5*(x1*r^(-1) + 2)*(1 - log(r))*r^(-1+0.5i)", 2)
+    (form,) = canonicalize(tree, 2).components()
+    x0 = (0.6, 0.8)
+    for c in (1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e308):
+        lam, k, residual = multi_probe_recover(lambda x: c * eval_form(form, x), 2, k_max=2)
+        assert abs(lam - complex(-1, 0.5)) < 1e-9 and k == 1, c
+        assert residual <= 1e-9 * c, c
+        s = sample_ray(lambda x: c * eval_form(form, x), x0, 0.1, 9)
+        lam, k, coeffs, residual = prony_recover(s, 2)
+        assert abs(lam - complex(-1, 0.5)) < 1e-9 and k == 1, c
+        assert residual <= 1e-9 * c, c
