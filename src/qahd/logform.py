@@ -141,17 +141,18 @@ class CoeffArray:
         """Angular parts with coefficient rows `values` over the same atoms."""
         return [AngularPart(n, dict(zip(self.alphas, row))) for row in values.tolist()]
 
-    def angular(self, omega) -> np.ndarray:
-        """h_j(omega) at unit directions omega (P, n): an array (P, k+1).
-
-        The (P, m) monomial matrix is built one dimension at a time from a
-        table of the powers that dimension needs.
-        """
+    def monomials(self, omega) -> np.ndarray:
+        """The atoms omega^alpha at unit directions omega (P, n), an array
+        (P, m), built one dimension at a time from a table of its powers."""
         omega = np.atleast_2d(np.asarray(omega, dtype=float))
         mono = np.ones((omega.shape[0], len(self.alphas)))
         for i, size, col in self._tables:
             mono *= power_table(omega[:, i], size)[:, col]
-        return mono @ self.values.T
+        return mono
+
+    def angular(self, omega) -> np.ndarray:
+        """h_j(omega) at unit directions omega (P, n): an array (P, k+1)."""
+        return self.monomials(omega) @ self.values.T
 
 
 def power_table(x: np.ndarray, size: int) -> np.ndarray:
@@ -264,17 +265,29 @@ def eval_form(form: LogForm, x):
 
     A single point x (n,) gives a complex, a batch an array (m,).
     """
-    points = np.atleast_2d(np.asarray(x, dtype=float))
+    values, _ = eval_terms(form, np.atleast_2d(np.asarray(x, dtype=float)))
+    return complex(values[0, 0]) if np.ndim(x) == 1 else values[0]
+
+
+def eval_terms(form: LogForm, points: np.ndarray, log_shifts=(0.0,)):
+    """r^lam sum_j h_j(omega) (ln r + t)^j at the rows of points (P, n), a row
+    per shift t (F(a x) / a^lam at t = ln a, from the angular values at x),
+    and the moduli of its terms summed atom by atom, |c| |omega^alpha|
+    |ln r + t|^j |r^lam| (inf where |c| is past the float range): (T, P) each."""
     r = ex.radii(points)
     if not r.all():
         raise OriginError("evaluation at the origin")
     ln_r = np.log(r)
+    arr = form.arrays()
+    mono = arr.monomials(points / r[:, None])
+    logs = ln_r + np.asarray(log_shifts, dtype=float)[:, None]
     with np.errstate(all="ignore"):
-        acc = np.sum(form.arrays().angular(points / r[:, None])
-                     * power_table(ln_r, len(form.coeffs)), axis=1)
-        values = np.exp(form._lam * ln_r) * acc
+        powers = power_table(logs.ravel(), len(form.coeffs)).reshape(*logs.shape, -1)
+        values = np.exp(form._lam * ln_r) * np.sum((mono @ arr.values.T) * powers, axis=-1)
+        moduli = np.exp(form._lam.real * ln_r) * np.sum(
+            (np.abs(mono) @ np.abs(arr.values).T) * np.abs(powers), axis=-1)
     check_finite(values, "evaluation")
-    return complex(values[0]) if np.ndim(x) == 1 else values
+    return values, moduli
 
 
 def forms_equal(f: LogForm, g: LogForm) -> bool:

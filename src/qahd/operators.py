@@ -18,9 +18,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EvalOverflowError, ZeroInputError, check_finite, check_scale
+from .errors import ZeroInputError, check_finite, check_scale
 from .identify import random_direction
-from .logform import DEGREE_TOLERANCE, LogForm, MultiForm, eval_form
+from .logform import (DEGREE_TOLERANCE, MAX_MONOMIAL_DEGREE, LogForm, MultiForm,
+                      eval_form, eval_terms)
 from .spectral import dilation_coefficient_matrix, scale_power
 
 DEFAULT_A_SAMPLES: Tuple[float, ...] = (0.5, 2.0 / 3.0, math.e, math.pi, 10.0)
@@ -44,6 +45,11 @@ def _act(form: LogForm, matrix: np.ndarray, power: int = 1) -> LogForm:
 def _euler_matrix(size: int, shift: complex) -> np.ndarray:
     """shift * I + N, the action of E - (lam - shift)."""
     return shift * np.eye(size, dtype=complex) + np.diag(np.arange(1.0, size), 1)
+
+
+def _scale_exponent(a: float, lam: complex, mu: complex) -> complex:
+    """The one of lam and mu with the larger |a^s|: |a^(lam-s)|, |a^(mu-s)| <= 1."""
+    return max((lam, mu), key=lambda s: (s * math.log(a)).real)
 
 
 def _delta_matrix(form: LogForm, a: float, mu: complex, per: complex = 0) -> np.ndarray:
@@ -78,9 +84,9 @@ def op_power(kind: str, m: int, form: LogForm, *, a: float | None = None,
 
     `lam` defaults to the degree of `form`; at the form's own degree the
     Euler kind is the exact nilpotent shift g_i = ((i+m)!/i!) h_{i+m}.
-    "scaled_delta_a" is Delta_a(lam) / a^s, s the one of lam and the form's
-    degree with the larger |a^s|: its entries never carry a^lam, which could
-    leave the float range or fall below the coefficient pruning threshold.
+    "scaled_delta_a" is Delta_a(lam) / a^s, s by `_scale_exponent`: its entries
+    never carry a^lam, which could leave the float range or fall below the
+    coefficient pruning threshold.
     """
     if m < 0:
         raise ValueError("power must be non-negative")
@@ -93,8 +99,7 @@ def op_power(kind: str, m: int, form: LogForm, *, a: float | None = None,
         if a is None:
             raise ValueError(f"{kind} requires the scale a")
         check_scale(a, "dilation scale")
-        per = 0 if kind == "delta_a" else max(
-            (form._lam, target), key=lambda s: (s * math.log(a)).real)
+        per = 0 if kind == "delta_a" else _scale_exponent(a, form._lam, target)
         return _act(form, _delta_matrix(form, a, target, per), m)
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -163,11 +168,14 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
                 *, seed: int = 42) -> VerificationReport:
     """Check all four equivalent characterizations against asserted (lam, k).
 
-    (i)   U_a F = a^lam F + sum_r a^lam log^r a (E-lam)^r F / r!, pointwise;
+    (i)   U_a F = a^lam sum_{r<=k} (log^r a / r!) (E-lam)^r F, pointwise, both
+          sides over a^s and each difference over its terms' summed moduli;
     (ii)  (Delta_a(lam) / a^s)^(k+1) F = 0 on coefficients (scaled_delta_a);
     (iii) (E - lam)^(k+1) F = 0 on coefficients;
     (iv)  degree(F) = lam and order(F) = k.
     """
+    if not 0 <= k <= MAX_MONOMIAL_DEGREE:  # the log-power bound of every form
+        raise ValueError(f"order must be between 0 and {MAX_MONOMIAL_DEGREE}, got {k}")
     if form.is_zero:
         raise ZeroInputError("verification of the zero form")
     if not a_samples:
@@ -177,44 +185,33 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
     lam = complex(lam)
     points = random_points(np.random.default_rng(seed), form.n, 20)
 
-    # U_a F at the points a*x for every a at once, against the chain members
-    # at the points x; rows are a-samples, columns points
-    scales = np.asarray(a_samples, dtype=float)
-    with np.errstate(over="ignore"):  # an inf point fails in eval_form
-        scaled = scales[:, None, None] * points
-    lhs = eval_form(form, scaled.reshape(-1, form.n))
-    lhs = lhs.reshape(scales.size, -1)
-    # r! (from r = 171) or log(a)^r can leave the float range: refused before
-    # the k+1 chain members are built
-    try:
-        weights = [np.array([math.log(a) ** r / math.factorial(r) for a in a_samples])
-                   for r in range(k + 1)]
-    except OverflowError:
-        raise EvalOverflowError(
-            f"weights log(a)^r/r! up to order {k} overflowed the floating-point range"
-        ) from None
-    members = [eval_form(op_power("euler_minus_lambda", r, form, lam=lam), points)
-               for r in range(k + 1)]
-    amps = np.array([scale_power(a, lam) for a in a_samples])
+    # rows are a-samples, columns points; lead a^(lam_F - s), w_r a^(lam - s) log^r(a) / r!
+    log_a = np.log(np.asarray(a_samples, dtype=float))
+    per = [_scale_exponent(a, form._lam, lam) for a in a_samples]
+    lead = np.array([[scale_power(a, form._lam - s)] for a, s in zip(a_samples, per)])
+    w = np.array([[scale_power(a, lam - s)] for a, s in zip(a_samples, per)])
+    # U_a F / a^lam_F is F at log r + ln a; the last shift, 0, gives F's moduli at x
+    lhs, moduli = eval_terms(form, points, np.append(log_a, 0.0))
     with np.errstate(all="ignore"):
-        rhs = np.zeros_like(lhs)
-        for w, values in zip(weights, members):
-            rhs = rhs + w[:, None] * values
-        rhs = rhs * amps[:, None]
-        residuals = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
+        lhs, rhs = lead * lhs[:-1], w * eval_form(form, points)
+        bound = np.abs(lead) * moduli[:-1] + np.abs(w) * moduli[-1]
+        for r in range(1, k + 1):
+            w = w * log_a[:, None] / r
+            values, moduli = eval_terms(op_power("euler_minus_lambda", r, form, lam=lam), points)
+            rhs, bound = rhs + w * values, bound + np.abs(w) * moduli
+        diff = np.abs(lhs - rhs)
+        residuals = np.divide(diff, bound, out=np.zeros_like(diff), where=diff != 0)
     # an overflow raises rather than leaving inf or NaN in the criterion
     check_finite(residuals, "definitional residual")
     definitional = float(residuals.max(initial=0.0))
 
     norm = form.coeff_norm()
-    g = op_power("euler_minus_lambda", k + 1, form, lam=lam)
-    euler_nilpotency = g.coeff_norm() / (1.0 + norm)
-
-    # the |a^lam|^(k+1) that Delta_a(lam)^(k+1) carries is divided out
-    dilation_nilpotency = 0.0
-    for a in a_samples:
-        g = op_power("scaled_delta_a", k + 1, form, a=a, lam=lam)
-        dilation_nilpotency = max(dilation_nilpotency, g.coeff_norm() / norm)
+    euler_nilpotency = op_power("euler_minus_lambda", k + 1, form, lam=lam).coeff_norm() / norm
+    # the |a^s|^(k+1) that Delta_a(lam)^(k+1) carries is divided out
+    dilation_nilpotency = max(op_power("scaled_delta_a", k + 1, form, a=a, lam=lam).coeff_norm()
+                              for a in a_samples) / norm
+    # a ratio is inf / inf where a coefficient's modulus is past the float range
+    check_finite(np.array([euler_nilpotency, dilation_nilpotency]), "nilpotency criteria")
 
     structural = abs(form.degree - lam) <= DEGREE_TOLERANCE and form.order == k
     return VerificationReport(

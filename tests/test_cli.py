@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qahd import _json, cli, errors, pairing
+from qahd import _json, cli, errors, operators, pairing
 from qahd.cli import parse_complex, run
 
 from conftest import EXTREME_EXPONENT, EXTREME_NUMBER, dsl
@@ -130,9 +130,6 @@ def test_overflow_exit_code(capsys):
         ("apply", "1e300*r", "--op", "dilate=1e10"),
         ("apply", "log(r)^200", "--op", "dilate=1e300"),
         ("identify", "r^(1000)"),
-        # (a x)^300 overflows at a = 10: an error, not a NaN that max() drops
-        # into "verdict": true
-        ("verify", "-n", "1", "r^300", "--degree", "300", "--order", "0"),
         ("classify", "10^400"),
         ("classify", "10^(400.5)"),
         # an infinite exponent gives inf, not an exception: not a silent zero form
@@ -153,11 +150,6 @@ def test_overflow_exit_code(capsys):
          "--kmax", "0"),
         ("pair", "-n", "1", "r", "--center", "1", "--width", "1e300"),
         ("pair-verify", "-n", "1", "r", "--center", "1", "--width", "1e300"),
-        ("verify", "-n", "1", "r", "--degree", "1", "--order", "0", "--a-samples", "1e308"),
-        # 171! leaves the float range in the weights of the definitional check,
-        # which is refused before the k+1 chain members are built
-        ("verify", "-n", "1", "r", "--degree", "1", "--order", "171"),
-        ("verify", "-n", "1", "r", "--degree", "1", "--order", "10000000000"),
         ("matrix", "--a", "1e308", "--lambda", "1e308", "--size", "2"),
         ("apply", "r", "--op", "delta=1e308,1e308"),
         ("apply", "r", "--op", "delta=1e308,1e308-1e308i"),
@@ -390,6 +382,49 @@ def test_verify_true_false(capsys):
     )
     assert code == 0
     assert payload["criteria"]["dilation_nilpotency"] < 1e-11
+
+
+def test_verify_verdict_does_not_depend_on_scale(capsys):
+    # each residual is relative to the moduli of the terms it compares, so a
+    # true assertion holds whatever the scale of F and the cancellation among
+    # its atoms, and a^lam enters only as a^(lam - s) with |a^(lam - s)| <= 1
+    f2 = "(x1+x2+x3+r)^6*log(r)^2"
+    for argv in (
+        ("-n", "3", f2, "--degree", "6", "--order", "2"),
+        ("-n", "3", f"1e5*{f2}", "--degree", "6", "--order", "2"),
+        ("-n", "3", "(x1-2*x2+0.5*x3+r)^6*log(r)^4", "--degree", "6", "--order", "4"),
+        # (a x)^300 and 1e308 * x are never formed
+        ("-n", "1", "r^300", "--degree", "300", "--order", "0"),
+        ("-n", "1", "r", "--degree", "1", "--order", "0", "--a-samples", "1e308"),
+        # no a^(-s) multiplies a value that has already underflowed
+        ("-n", "1", "r^(-400)", "--degree", "-400", "--order", "0"),
+        ("-n", "1", "r^(-300)*log(r)", "--degree", "-300", "--order", "1"),
+    ):
+        code, payload = invoke_json(capsys, "verify", *argv)
+        assert code == 0, argv
+        assert payload["criteria"]["definitional"] < 1e-14, argv
+    # a false assertion is a verdict, not an overflow: a degree far from the
+    # form's, and an order past 170 (whose r! leaves the float range)
+    for argv in (
+        ("-n", "1", "r", "--degree", "1000", "--order", "0"),
+        ("-n", "1", "r", "--degree", "1", "--order", "171"),
+    ):
+        code, payload = invoke_json(capsys, "verify", *argv)
+        assert code == 1, argv
+        assert all(math.isfinite(v) for v in payload["criteria"].values()), argv
+
+
+def test_verify_order_out_of_range_is_refused_at_once(capsys, monkeypatch):
+    # 200 is the largest log power of any form; no chain member is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator applied for an order out of range")
+
+    monkeypatch.setattr(operators, "op_power", refuse)
+    for order in ("10000000000", "-1", "201"):
+        code, payload = invoke_json(capsys, "verify", "-n", "1", "r", "--degree", "1",
+                                    "--order", order)
+        assert code == 2, order
+        assert payload["error"] == "ValueError"
 
 
 def test_matrix(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qahd import _json
@@ -325,7 +325,7 @@ def test_verify_wrong_order_fails_with_euler_residual():
     assert not report.verdict
     assert not report.structural
     # (E - 0)^1 applied to log r leaves the constant 1
-    want = const_form(0, [1]).coeff_norm() / (1.0 + f.coeff_norm())
+    want = const_form(0, [1]).coeff_norm() / f.coeff_norm()
     assert report.euler_nilpotency == pytest.approx(want)
 
 
@@ -347,15 +347,23 @@ def test_verify_random_forms_pass(form_corpus):
 
 
 def test_verify_overflow_raises():
-    # a^lam F(x) overflows while F(a x) does not: the residual is inf, which
-    # must raise rather than reach the verdict
+    # F, or a chain member, past the float range at the sample points
+    # themselves raises rather than reaching the verdict
     from qahd.errors import EvalOverflowError
 
-    f = const_form(0, [1e10])
     with pytest.raises(EvalOverflowError):
-        verify_qahd(f, complex(300), 0, a_samples=[10.0])
+        verify_qahd(const_form(300, [1e300], n=1), complex(300), 0)
     with pytest.raises(EvalOverflowError):
-        verify_qahd(const_form(300, [1], n=1), complex(300), 0)
+        verify_qahd(const_form(0, [0, 1e300], n=1), complex(-1e10), 1)
+
+
+def test_verify_far_degree_is_a_verdict():
+    """a^lam enters only as a^(lam - s) with |a^(lam - s)| <= 1, so neither
+    a^lam F(x) nor F(a x) can overflow where F(x) does not."""
+    report = verify_qahd(const_form(0, [1e10]), complex(300), 0, a_samples=[10.0])
+    assert not report.verdict
+    assert report.definitional == pytest.approx(1.0)
+    assert verify_qahd(const_form(300, [1], n=1), complex(300), 0).verdict
 
 
 def test_verify_rejects_nan_values(monkeypatch):
@@ -403,8 +411,8 @@ def _expanded_qahd(draw):
     """(s.x + r)^p (1 + log r)^k r^mu as text, with its degree written to 6
     decimals: the asserted degree is often a last bit away from the form's."""
     n = draw(st.integers(1, 3))
-    k = draw(st.integers(3, 4))
-    p = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 5))
+    p = draw(st.integers(2, 6))
     mu = draw(st.integers(-1000, 1000)) / 1000
     s = "+".join(f"({draw(st.integers(-100, 100)) / 100})*x{i + 1}" for i in range(n))
     return n, f"({s}+r)^{p}*(1+log(r))^{k}*r^({mu})", complex(f"{p + mu:.6f}"), k
@@ -412,15 +420,31 @@ def _expanded_qahd(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_expanded_qahd())
+# F2 of the benchmark corpus, and an order-4 form whose atoms cancel at the
+# points: a residual not relative to the terms it compares rejects both
+@example((3, "(x1+x2+x3+r)^6*log(r)^2", complex(6), 2))
+@example((3, "(x1-2*x2+0.5*x3+r)^6*log(r)^4", complex(6), 4))
 def test_verify_dilation_criterion_at_a_rounded_degree(case):
     """Delta_a(lam)^(k+1) F is measured relative to |a^lam|^(k+1) ||F||, so a
-    last-bit degree mismatch no longer leaves |a^lam log a|^k in it."""
+    last-bit degree mismatch no longer leaves |a^lam log a|^k in it; the
+    definitional residual is relative to the terms it compares, so neither
+    criterion depends on the scale of F."""
     n, text, lam, k = case
     (form,) = canonicalize(parse(text, n), n).components()
     assert form.order == k
-    assert verify_qahd(form, lam, k).dilation_nilpotency < 1e-9
-    # the relative criterion on its own still rejects the order below
-    assert verify_qahd(form, lam, k - 1).dilation_nilpotency >= VERDICT_TOLERANCE
+    true, below = verify_qahd(form, lam, k), verify_qahd(form, lam, k - 1)
+    assert true.verdict
+    assert true.dilation_nilpotency < 1e-9
+    assert true.definitional < VERDICT_TOLERANCE
+    # each criterion on its own still rejects the order below
+    assert below.dilation_nilpotency >= VERDICT_TOLERANCE
+    assert below.definitional >= 1e-2
+    # c <= 1e-12 is left out: there the absolute COEFF_ZERO_THRESHOLD (ROADMAP
+    # item 2) prunes the coefficients of c.F, all of them at c = 1e-100
+    for c in (1e-8, 1e5, 1e100):
+        scaled = form.scale(c)
+        assert verify_qahd(scaled, lam, k).verdict, c
+        assert not verify_qahd(scaled, lam, k - 1).verdict, c
 
 
 # --- invariants -----------------------------------------------------------
