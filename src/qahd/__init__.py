@@ -44,10 +44,10 @@ from .expr import (
 )
 from .identify import (
     SampleSeries,
-    annihilation_check,
     multi_probe_recover,
     prony_recover,
     sample_ray,
+    sample_rays,
 )
 from .logform import (
     AngularPart,

@@ -83,19 +83,20 @@ _LITERAL = (
     rf"(?:\s*(?P<im_sign>[+-])\s*(?P<im>{_NUMBER})\s*i)?"
 )
 
-_TOKEN_RE = re.compile(
-    rf"""
-    (?P<ws>\s+)
-  | (?P<literal>\(\s*{_LITERAL}\s*\))
-  | (?P<number>{_NUMBER})
-  | (?P<var>x\d+)
-  | (?P<log>log)
-  | (?P<r>r)
-  | (?P<i>i)
-  | (?P<op>[-+*/^()])
-    """,
-    re.VERBOSE,
+# One token per match, after the whitespace before it: (whitespace, token).
+# The literal's groups lose their names, so findall gives plain pairs; a
+# token's kind is read from its first character ('(' opens a literal when
+# more follows it).  The alternatives start with distinct characters, except
+# that the literal must come before '(', and are ordered by how often they
+# occur.  Whitespace before a stray character is one match of its own,
+# ("", ""): findall would otherwise retry the run from each of its
+# characters, in time quadratic in its length.
+_UNNAMED_LITERAL = re.sub(r"\(\?P<\w+>", "(?:", _LITERAL)
+_TOKENS_RE = re.compile(
+    rf"(\s*)([-+*/^)]|x\d+|r|\(\s*{_UNNAMED_LITERAL}\s*\)|{_NUMBER}|log|i|\()|\s+"
 )
+
+_PAREN_LITERAL_RE = re.compile(rf"\(\s*{_LITERAL}")
 
 # how far the text after a '(' reads as a literal, to place an error; only
 # malformed input needs it, so it is compiled on first use
@@ -128,63 +129,80 @@ def parse_complex(text: str) -> complex:
 
 
 def _tokenize(text):
-    """(kind, text, start, literal match or None) per token, then an eof token."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos, m if kind == "literal" else None))
-        pos = m.end()
-    tokens.append(("eof", "", len(text), None))
-    return tokens
+    """The (whitespace, token) pairs of text, and the token texts followed by
+    "" for the end of input; a stray character raises.
+
+    findall skips what no token matches, so the pairs cover the text up to
+    its trailing whitespace, which is not scanned, exactly when no character
+    was skipped.
+    """
+    end = len(text.rstrip())  # str.isspace is what \s matches
+    pairs = _TOKENS_RE.findall(text, 0, end)
+    toks = [tok for _, tok in pairs]
+    if len("".join(toks)) + len("".join([space for space, _ in pairs])) != end:
+        pos = 0
+        for space, tok in pairs:
+            if not text.startswith(space + tok, pos):
+                break
+            pos += len(space) + len(tok)
+        pos += len(text[pos:]) - len(text[pos:].lstrip())
+        raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    toks.append("")
+    return pairs, toks
 
 
 class _Parser:
-    """Recursive descent over the fixed grammar (precedence: ^, unary -, */, +-)."""
+    """Recursive descent over the fixed grammar (precedence: ^, unary -, */, +-).
+
+    `toks` is the token texts followed by "" for the end of input, and `i`
+    the index of the next token.
+    """
 
     def __init__(self, text, n):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.pairs, self.toks = _tokenize(text)
         self.n = n
-        self.pos = 0
+        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def start(self, i):
+        """Where token i starts in the text (the end of input at the end)."""
+        if i == len(self.pairs):
+            return len(self.text)
+        before = sum(len(space) + len(tok) for space, tok in self.pairs[:i])
+        return before + len(self.pairs[i][0])
 
     def expect(self, value, expected):
-        _, text, start, _ = self.peek()
-        if text != value:
+        tok = self.toks[self.i]
+        if tok != value:
             raise ExprSyntaxError(
-                f"expected {expected}, found {text or 'end of input'!r}",
-                start,
+                f"expected {expected}, found {tok or 'end of input'!r}",
+                self.start(self.i),
                 (expected,),
             )
-        return self.advance()
+        self.i += 1
 
-    def literal(self) -> complex:
-        """Consume a number or literal token and return its value, which is finite."""
-        kind, text, start, m = self.advance()
-        value = complex(float(text)) if kind == "number" else _literal_value(m)
+    def literal(self, m=None) -> complex:
+        """Consume a number or literal token and return its value, which is
+        finite; m is the literal's match where the caller has made it."""
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        if tok[0] == "(":
+            value = _literal_value(m or _PAREN_LITERAL_RE.match(tok))
+        else:
+            value = complex(float(tok))
         if cmath.isinf(value):
             raise ExprSyntaxError(
-                f"literal {text!r} is out of the floating-point range", start
+                f"literal {tok!r} is out of the floating-point range", self.start(i)
             )
         return value
 
     # expr := term (("+"|"-") term)*
     def parse_expr(self):
         terms = [self.parse_term()]
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
+        toks = self.toks
+        while (op := toks[self.i]) == "+" or op == "-":
+            self.i += 1
             term = self.parse_term()
             terms.append(Negate(term) if op == "-" else term)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -192,102 +210,112 @@ class _Parser:
     # term := factor (("*"|"/") factor)*
     def parse_term(self):
         factors = [self.parse_factor()]
-        while self.peek()[1] in ("*", "/"):
-            _, op, start, _ = self.advance()
+        toks = self.toks
+        while (op := toks[self.i]) == "*" or op == "/":
+            i = self.i
+            self.i = i + 1
             factor = self.parse_factor()
             if op == "/":
-                factor = self._invert(factor, start)
+                factor = self._invert(factor, i)
             factors.append(factor)
         return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
-    def _invert(self, e, pos):
-        """Division sugar: u/v -> u * v^(-1) for monomial v only."""
+    def _invert(self, e, i):
+        """Division sugar: u/v -> u * v^(-1) for monomial v only; i is the '/'."""
         if isinstance(e, Negate):
-            return Negate(self._invert(e.child, pos))
+            return Negate(self._invert(e.child, i))
         if isinstance(e, Constant):
             if e.value == 0:
-                raise ExprSyntaxError("division by zero literal", pos)
+                raise ExprSyntaxError("division by zero literal", self.start(i))
             return Constant(1 / e.value)
         if isinstance(e, (Radius, Variable)):
             return Power(e, complex(-1))
         if isinstance(e, LogRadius):
             # log(r) is not a monomial in r and the variables
-            raise ExprSyntaxError("division by non-monomial divisor", pos)
+            raise ExprSyntaxError("division by non-monomial divisor", self.start(i))
         if isinstance(e, Power) and isinstance(e.base, (Radius, Variable)):
             return Power(e.base, -e.exponent)
-        raise ExprSyntaxError("division by non-monomial divisor", pos)
+        raise ExprSyntaxError("division by non-monomial divisor", self.start(i))
 
     # factor := ("-")? base ("^" exponent)?
     def parse_factor(self):
-        if self.peek()[1] == "-":
-            self.advance()
+        if self.toks[self.i] == "-":
+            self.i += 1
             return Negate(self.parse_factor())
         base = self.parse_base()
-        if self.peek()[1] == "^":
-            self.advance()
-            exponent = self.parse_exponent()
-            return Power(base, exponent)
+        if self.toks[self.i] == "^":
+            self.i += 1
+            return Power(base, self.parse_exponent())
         return base
 
     def parse_base(self):
-        kind, text, start, m = self.peek()
-        if kind == "number":
+        i = self.i
+        tok = self.toks[i]
+        head = tok[:1]
+        if head == "r":
+            self.i = i + 1
+            return RADIUS
+        if head == "x":
+            self.i = i + 1
+            index = int(tok[1:])
+            if index < 1 or index > self.n:
+                raise DimensionError(
+                    f"variable {tok} out of range for dimension n={self.n}"
+                )
+            return Variable(index)
+        if head == "." or head.isdecimal():  # what \d matches
             return Constant(self.literal())
-        if kind == "literal":
+        if head == "(":
+            if len(tok) == 1:
+                self.i = i + 1
+                inner = self.parse_expr()
+                self.expect(")", "')'")
+                return inner
+            m = _PAREN_LITERAL_RE.match(tok)
             # a real '(-x)' or '(+x)' reads as '(' expr ')': the negation of x,
             # or an error at the '+', which starts no base
             sign = m["sign"] if m["im"] is None else ""
             if sign == "+":
                 raise ExprSyntaxError(
-                    "expected a base expression, found '+'", m.start("sign"), _BASE_EXPECTED
+                    "expected a base expression, found '+'",
+                    self.start(i) + m.start("sign"),
+                    _BASE_EXPECTED,
                 )
-            value = self.literal()
+            value = self.literal(m)
             return Negate(Constant(complex(-value.real))) if sign else Constant(value)
-        if kind == "r":
-            self.advance()
-            return RADIUS
-        if kind == "log":
-            self.advance()
-            m = self.peek()[3]
-            if m is not None:
+        if head == "l":
+            self.i = i + 1
+            nxt = self.toks[i + 1]
+            if nxt[:1] == "(" and len(nxt) > 1:
                 # in 'log(2)' the literal's '(' is log's own, and what it holds is no 'r'
+                m = _PAREN_LITERAL_RE.match(nxt)
                 raise ExprSyntaxError(
-                    f"expected 'r', found {m['sign'] or m['re']!r}", m.start("sign"), ("'r'",)
+                    f"expected 'r', found {m['sign'] or m['re']!r}",
+                    self.start(i + 1) + m.start("sign"),
+                    ("'r'",),
                 )
             self.expect("(", "'('")
             self.expect("r", "'r'")
             self.expect(")", "')'")
             return LOG_RADIUS
-        if kind == "var":
-            self.advance()
-            index = int(text[1:])
-            if index < 1 or index > self.n:
-                raise DimensionError(
-                    f"variable {text} out of range for dimension n={self.n}"
-                )
-            return Variable(index)
-        if text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")", "')'")
-            return inner
         raise ExprSyntaxError(
-            f"expected a base expression, found {text or 'end of input'!r}",
-            start,
+            f"expected a base expression, found {tok or 'end of input'!r}",
+            self.start(i),
             _BASE_EXPECTED,
         )
 
     # exponent := NUMBER | LITERAL
     def parse_exponent(self):
-        kind, text, start, _ = self.peek()
-        if kind == "number" or kind == "literal":
+        tok = self.toks[self.i]
+        head = tok[:1]
+        if head == "." or head.isdecimal() or (head == "(" and len(tok) > 1):
             return self.literal()
-        pos = start
-        if text == "(":
-            head = re.compile(_LITERAL_PREFIX).match(self.text, start)
-            pos = head.end()
-            if head["im"] is not None:
-                want = "')'" if head["i"] else "'i'"
+        pos = self.start(self.i)
+        if tok == "(":
+            prefix = re.compile(_LITERAL_PREFIX).match(self.text, pos)
+            pos = prefix.end()
+            if prefix["im"] is not None:
+                want = "')'" if prefix["i"] else "'i'"
                 raise ExprSyntaxError(
                     f"expected {want} to close the complex literal", pos, (want,)
                 )
@@ -302,9 +330,9 @@ def parse(text: str, n: int) -> Expression:
         raise DimensionError(f"dimension must be >= 1, got {n}")
     parser = _Parser(text, n)
     tree = parser.parse_expr()
-    kind, tok, start, _ = parser.peek()
-    if kind != "eof":
-        raise ExprSyntaxError(f"trailing input {tok!r}", start)
+    tok = parser.toks[parser.i]
+    if tok:
+        raise ExprSyntaxError(f"trailing input {tok!r}", parser.start(parser.i))
     return tree
 
 

@@ -41,17 +41,21 @@ class SampleSeries:
         return len(self.values)
 
 
-def sample_ray(f: Callable, x0, delta: float, count: int) -> SampleSeries:
-    """u_m = f(e^(m delta) x0) for m = 0..count-1, in one call of f.
+def sample_rays(f: Callable, x0s: Sequence, delta: float,
+                count: int) -> list[SampleSeries]:
+    """u_m = f(e^(m delta) x0) for m = 0..count-1 on each ray x0 of x0s, in
+    one call of f.
 
-    f is a batch callable: it takes the (count, n) array of ray points and
-    returns their values as an array of shape (count,).
+    f is a batch callable: it takes the (len(x0s) * count, n) array of the
+    rays' points, ray after ray, and returns their values as an array of
+    shape (len(x0s) * count,).  Every ray is checked before f is called.
     """
-    x0 = tuple(float(c) for c in x0)
-    if all(c == 0.0 for c in x0):
-        raise OriginError("ray base point must be nonzero")
-    if not all(math.isfinite(c) for c in x0):
-        raise ValueError("ray base point must be finite")
+    x0s = [tuple(float(c) for c in x0) for x0 in x0s]
+    for x0 in x0s:
+        if all(c == 0.0 for c in x0):
+            raise OriginError("ray base point must be nonzero")
+        if not all(math.isfinite(c) for c in x0):
+            raise ValueError("ray base point must be finite")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if count < 3:
@@ -61,14 +65,25 @@ def sample_ray(f: Callable, x0, delta: float, count: int) -> SampleSeries:
     except OverflowError:
         raise EvalOverflowError("ray scale overflowed the floating-point range") from None
     with np.errstate(over="ignore"):
-        points = np.outer(scales, x0)
+        points = np.concatenate([np.outer(scales, x0) for x0 in x0s])
     check_finite(points, "ray point")
+    size = len(x0s) * count
     values = np.asarray(f(points))
-    if values.shape != (count,):
+    if values.shape != (size,):
         raise ValueError(
-            f"ray function returned shape {values.shape}, expected ({count},)"
+            f"ray function returned shape {values.shape}, expected ({size},)"
         )
-    return SampleSeries(x0, float(delta), tuple(complex(v) for v in values.tolist()))
+    values = [complex(v) for v in values.tolist()]
+    return [
+        SampleSeries(x0, float(delta), tuple(values[j * count:(j + 1) * count]))
+        for j, x0 in enumerate(x0s)
+    ]
+
+
+def sample_ray(f: Callable, x0, delta: float, count: int) -> SampleSeries:
+    """u_m = f(e^(m delta) x0) for m = 0..count-1, in one call of f: the
+    one-ray case of `sample_rays`, with f taking the (count, n) ray points."""
+    return sample_rays(f, [x0], delta, count)[0]
 
 
 def random_direction(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, float]:
@@ -80,32 +95,6 @@ def random_direction(rng: np.random.Generator, n: int) -> Tuple[np.ndarray, floa
         v = rng.normal(size=n)
         norm = float(np.linalg.norm(v))
     return v, norm
-
-
-def binomial_annihilation_weights(order: int) -> Tuple[int, ...]:
-    """Signed binomial weights of the order-th finite difference."""
-    return tuple((-1) ** (order - m) * math.comb(order, m) for m in range(order + 1))
-
-
-def annihilation_check(series: SampleSeries, k: int,
-                       lam_hint: complex | None = None) -> float:
-    """Max windowed (k+1)-st difference of the (optionally degree-normalized)
-    samples, scaled by 1/(1 + max|u|); ~0 iff the ray lies in a k-th order
-    log-polynomial envelope."""
-    u = np.asarray(series.values, dtype=complex)
-    if series.count < k + 2:
-        raise InsufficientSamplesError(
-            f"need at least {k + 2} samples for order {k}, have {series.count}"
-        )
-    if lam_hint is not None:
-        m = np.arange(series.count)
-        u = u * np.exp(-complex(lam_hint) * m * series.delta)
-    weights = np.asarray(binomial_annihilation_weights(k + 1), dtype=complex)
-    width = k + 2
-    worst = 0.0
-    for t in range(series.count - width + 1):
-        worst = max(worst, abs(np.dot(weights, u[t:t + width])))
-    return worst / (1.0 + float(np.max(np.abs(u))))
 
 
 def _fit_recurrence(u: np.ndarray, p: int):
@@ -191,8 +180,8 @@ def prony_recover(series: SampleSeries, k_max: int):
 
 def multi_probe_recover(f: Callable, n: int, k_max: int, *, delta: float = 0.1,
                         count: int | None = None, seed: int = 42):
-    """Probe 3n random directions with the batch callable f; majority
-    degree, max order.
+    """Probe 3n random directions with the batch callable f, which receives
+    all 3n rays in one call; majority degree, max order.
 
     A single ray can undershoot the order when the top angular coefficient
     vanishes along it; the direction set makes that a measure-zero event.
@@ -200,14 +189,14 @@ def multi_probe_recover(f: Callable, n: int, k_max: int, *, delta: float = 0.1,
     rng = np.random.default_rng(seed)
     if count is None:
         count = 2 * (k_max + 1) + 2
-    results = []
+    x0s = []
     for _ in range(3 * n):
         v, norm = random_direction(rng, n)
-        x0 = tuple(c / norm for c in v)
+        x0s.append(tuple(c / norm for c in v))
+    results = []
+    for series in sample_rays(f, x0s, delta, count):
         try:
-            lam, k, coeffs, residual = prony_recover(
-                sample_ray(f, x0, delta, count), k_max
-            )
+            lam, k, coeffs, residual = prony_recover(series, k_max)
         except (NoFitError, RootSplitError):
             continue
         results.append((lam, k, residual))

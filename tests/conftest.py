@@ -15,6 +15,11 @@ from qahd.pairing import TestFunction
 TestFunction.__test__ = False
 
 
+def binomial_annihilation_weights(order):
+    """Signed binomial weights of the order-th finite difference."""
+    return tuple((-1) ** (order - m) * math.comb(order, m) for m in range(order + 1))
+
+
 def random_form(rng, n=None, k=None, lam=None, max_alpha=4):
     """Random canonical form with the requested dimension, order and degree.
 

@@ -16,13 +16,13 @@ import pytest
 
 from qahd.cli import run
 from qahd.expr import parse, render
-from qahd.identify import binomial_annihilation_weights, multi_probe_recover
+from qahd.identify import multi_probe_recover
 from qahd.logform import AngularPart, LogForm, eval_form
 from qahd.operators import delta, dilate, op_power, verify_qahd
 from qahd.pairing import QuadratureSpec, TestFunction, pair, verify_pairing_identity
 from qahd.spectral import build_R, check_group_law, nilpotent_action
 
-from conftest import ExprGen, random_points
+from conftest import ExprGen, binomial_annihilation_weights, random_points
 
 A_SET = (0.5, 2.0 / 3.0, math.e, math.pi, 10.0)
 
@@ -250,6 +250,9 @@ def test_criterion_08_pairing_identities():
 
 
 def test_criterion_09_identification(form_corpus):
+    assert binomial_annihilation_weights(1) == (-1, 1)
+    assert binomial_annihilation_weights(2) == (1, -2, 1)
+    assert binomial_annihilation_weights(3) == (-1, 3, -3, 1)
     for order in range(1, 13):
         w = binomial_annihilation_weights(order)
         assert sum(w[m] * m ** order for m in range(order + 1)) == math.factorial(order)

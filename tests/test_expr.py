@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qahd.errors import (
     DimensionError,
@@ -21,6 +24,7 @@ from qahd.expr import (
     Product,
     Radius,
     Variable,
+    _Parser,
     differentiate,
     eval_expr,
     parse,
@@ -221,6 +225,13 @@ LITERAL_TABLE = [
     ("r^(1-1e400i)", (ExprSyntaxError, 2)),
     ("x1*(1e400+1i)", (ExprSyntaxError, 3)),
     ("r/ (-1e400)", (ExprSyntaxError, 3)),
+    # a stray character is placed after the whitespace before it, also after
+    # the last token; trailing whitespace of any kind is no stray
+    ("x1 $ x2", (ExprSyntaxError, 3)),
+    ("r^2 $", (ExprSyntaxError, 4)),
+    ("r \u3000", Radius()),
+    # a digit is what \d matches, in any script
+    ("r^\u0662", Power(Radius(), complex(2))),
 ]
 
 
@@ -238,8 +249,70 @@ def test_literal_table(text, want):
         assert err.value.position == position
 
 
+def test_long_whitespace_is_read_in_linear_time():
+    # a whitespace run at the end, or before a stray character, is read once;
+    # a scan that retried it from each of its characters would take hours here
+    run = " \t" * 100_000
+    start = time.perf_counter()
+    assert parse("x1" + run, 1) == Variable(1)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("x1" + run + "$" + run + "+ r", 1)
+    assert err.value.position == 2 + len(run)
+    assert time.perf_counter() - start < 5.0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(dsl())
 def test_render_round_trip_property(text):
     tree = parse(text, 2)
     assert parse(render(tree), 2) == tree
+
+
+# The one-match-at-a-time tokenizer the parser once used: the reference for
+# the tokens and their start positions, and for where a stray character is.
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_REFERENCE_TOKEN_RE = re.compile(
+    rf"(?P<ws>\s+)|(?P<literal>\(\s*[+-]?\s*{_NUM}(?:\s*[+-]\s*{_NUM}\s*i)?\s*\))"
+    rf"|(?P<number>{_NUM})|(?P<var>x\d+)|(?P<log>log)|(?P<r>r)|(?P<i>i)|(?P<op>[-+*/^()])"
+)
+
+
+def reference_tokens(text):
+    """([(token, start), ...] ending with ("", len(text)), stray position or None)."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            return tokens, pos
+        if m.lastgroup != "ws":
+            tokens.append((m.group(), pos))
+        pos = m.end()
+    return tokens + [("", len(text))], None
+
+
+_FRAGMENTS = [
+    "x1", "x23", "r", "log", "i", "(", ")", "+", "-", "*", "/", "^",
+    "2", "1.5", ".5", "3.", "1e-3", "2E+2", "\u0663", "(1+2i)", "( - .5 )", "(2 - 3e1 i)",
+    " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\u2028",
+]
+_STRAYS = st.one_of(st.sampled_from(["$", "x", "lo", "e", "\u00e9", "j"]), st.characters())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=20),
+       st.one_of(st.none(), _STRAYS), st.integers(0, 20))
+def test_tokens_and_positions_match_the_reference_scanner(fragments, stray, at):
+    # DSL fragments and whitespace of several kinds, with at most one
+    # inserted character or fragment that may be a stray
+    if stray is not None:
+        fragments.insert(at, stray)
+    text = "".join(fragments)
+    want, stray_at = reference_tokens(text)
+    if stray_at is not None:
+        with pytest.raises(ExprSyntaxError) as err:
+            _Parser(text, 1)
+        assert err.value.position == stray_at
+        assert str(err.value).startswith(f"unexpected character {text[stray_at]!r}")
+        return
+    parser = _Parser(text, 1)
+    assert [(tok, parser.start(i)) for i, tok in enumerate(parser.toks)] == want

@@ -14,15 +14,15 @@ from qahd.errors import (
 )
 from qahd.identify import (
     SampleSeries,
-    annihilation_check,
-    binomial_annihilation_weights,
     multi_probe_recover,
     prony_recover,
+    random_direction,
     sample_ray,
+    sample_rays,
 )
 from qahd.logform import CoeffArray, eval_form
 
-from conftest import random_form
+from conftest import binomial_annihilation_weights, random_form
 
 
 def ray(values, delta=0.1):
@@ -66,7 +66,8 @@ def test_sample_ray_rejects_non_batch_result():
             sample_ray(f, (1.0, 2.0), 0.1, 5)
 
 
-# --- annihilation_check -----------------------------------------------------
+# --- binomial finite-difference weights -------------------------------------
+
 
 def test_binomial_weights():
     assert binomial_annihilation_weights(1) == (-1, 1)
@@ -82,38 +83,59 @@ def test_binomial_factorial_identity():
         assert total == math.factorial(order)
 
 
-def test_annihilation_constant():
-    assert annihilation_check(ray([1.0] * 6), 0) == 0.0
+# --- multi_probe_recover's one batched call -------------------------------
+
+class Recorder:
+    """A batch callable that keeps the point arrays it is called with."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, points):
+        self.calls.append(points.copy())
+        return self.f(points)
 
 
-def test_annihilation_linear():
-    u = [0.1 * m for m in range(8)]  # log r along the ray from r = 1
-    assert annihilation_check(ray(u), 1) < 1e-12
-    assert annihilation_check(ray(u), 0) > 1e-3
+def test_multi_probe_samples_every_ray_in_one_call():
+    # one call of f on a (3n count, n) array; block j is ray j's points for
+    # the j-th direction that random_direction draws from the seed
+    rng = np.random.default_rng(103)
+    for n, seed, count in ((1, 42, 11), (2, 7, 12), (3, 5, 13)):
+        form = random_form(rng, n=n, k=1)
+        record = Recorder(lambda X: eval_form(form, X))
+        lam, k, residual = multi_probe_recover(record, n, 4, count=count, seed=seed)
+        assert abs(lam - form.degree) < 1e-6 and k == 1
+        (points,) = record.calls
+        assert points.shape == (3 * n * count, n)
+        scales = np.array([math.exp(m * 0.1) for m in range(count)])
+        directions = np.random.default_rng(seed)
+        for j in range(3 * n):
+            v, norm = random_direction(directions, n)
+            block = points[j * count:(j + 1) * count]
+            assert np.array_equal(block, np.outer(scales, tuple(c / norm for c in v)))
 
 
-def test_annihilation_quadratic():
-    d = 0.1
-    u = [(d * m) ** 2 for m in range(10)]
-    s = ray(u, d)
-    assert annihilation_check(s, 2) < 1e-10
-    # the second difference of (d m)^2 is exactly 2 d^2
-    want = 2 * d ** 2 / (1.0 + max(u))
-    assert annihilation_check(s, 1) == pytest.approx(want)
-
-
-def test_annihilation_with_degree_hint():
-    lam = complex(0.7, -0.3)
-    d = 0.1
-    u = [cmath.exp(lam * d * m) * (1 + d * m) for m in range(10)]
-    s = ray(u, d)
-    assert annihilation_check(s, 1, lam_hint=lam) < 1e-12
-    assert annihilation_check(s, 1) > 1e-4
-
-
-def test_annihilation_needs_enough_samples():
+def test_multi_probe_refuses_bad_arguments_before_sampling():
+    record = Recorder(lambda X: np.ones(len(X)))
+    for delta in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="delta"):
+            multi_probe_recover(record, 2, 1, delta=delta)
     with pytest.raises(InsufficientSamplesError):
-        annihilation_check(ray([1.0, 2.0, 3.0]), 2)
+        multi_probe_recover(record, 2, 1, count=2)
+    assert record.calls == []
+
+
+def test_sample_rays_checks_every_ray_and_splits_in_order():
+    record = Recorder(lambda X: X[:, 0] + 2 * X[:, 1])
+    for bad, error in (((0.0, 0.0), OriginError), ((1.0, math.nan), ValueError)):
+        with pytest.raises(error):
+            sample_rays(record, [(1.0, 0.0), bad], 0.1, 5)
+    assert record.calls == []
+    x0s = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8)]
+    series = sample_rays(record, x0s, 0.1, 5)
+    assert len(record.calls) == 1
+    assert series == [sample_ray(record.f, x0, 0.1, 5) for x0 in x0s]
 
 
 # --- prony_recover ----------------------------------------------------------
