@@ -108,6 +108,10 @@ _BARE_LITERAL_RE = re.compile(rf"\s*{_LITERAL}\s*")
 
 _BASE_EXPECTED = ("NUMBER", "r", "log(r)", "VAR", "(")
 
+# How deep '(' and unary '-' may nest, counted together: each level is a
+# recursion in the parser and in every walk of the tree.
+MAX_NESTING = 100
+
 
 def _literal_value(m: re.Match) -> complex:
     """The value of a literal match; a part that overflows gives inf."""
@@ -154,8 +158,10 @@ def _tokenize(text):
 class _Parser:
     """Recursive descent over the fixed grammar (precedence: ^, unary -, */, +-).
 
-    `toks` is the token texts followed by "" for the end of input, and `i`
-    the index of the next token.
+    `toks` is the token texts followed by "" for the end of input, `i` the
+    index of the next token, and `depth` how many '(' and unary '-' enclose
+    it.  `powers` maps (base token, exponent token) to the Power node read
+    from them, for the bases r and x_i: a repeated power is read once.
     """
 
     def __init__(self, text, n):
@@ -163,6 +169,8 @@ class _Parser:
         self.pairs, self.toks = _tokenize(text)
         self.n = n
         self.i = 0
+        self.depth = 0
+        self.powers = {}
 
     def start(self, i):
         """Where token i starts in the text (the end of input at the end)."""
@@ -170,6 +178,14 @@ class _Parser:
             return len(self.text)
         before = sum(len(space) + len(tok) for space, tok in self.pairs[:i])
         return before + len(self.pairs[i][0])
+
+    def nest(self, i):
+        """Enter one more level at token i, a '(' or a unary '-'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(
+                f"nesting of '(' and unary '-' deeper than {MAX_NESTING}", self.start(i)
+            )
 
     def expect(self, value, expected):
         tok = self.toks[self.i]
@@ -239,13 +255,29 @@ class _Parser:
 
     # factor := ("-")? base ("^" exponent)?
     def parse_factor(self):
-        if self.toks[self.i] == "-":
-            self.i += 1
-            return Negate(self.parse_factor())
+        i = self.i
+        toks = self.toks
+        tok = toks[i]
+        if tok == "-":
+            self.nest(i)
+            self.i = i + 1
+            factor = Negate(self.parse_factor())
+            self.depth -= 1
+            return factor
+        key = None
+        if (tok == "r" or tok[:1] == "x") and toks[i + 1] == "^":
+            key = (tok, toks[i + 2])
+            power = self.powers.get(key)
+            if power is not None:
+                self.i = i + 3
+                return power
         base = self.parse_base()
-        if self.toks[self.i] == "^":
+        if toks[self.i] == "^":
             self.i += 1
-            return Power(base, self.parse_exponent())
+            power = Power(base, self.parse_exponent())
+            if key is not None:
+                self.powers[key] = power
+            return power
         return base
 
     def parse_base(self):
@@ -267,9 +299,11 @@ class _Parser:
             return Constant(self.literal())
         if head == "(":
             if len(tok) == 1:
+                self.nest(i)
                 self.i = i + 1
                 inner = self.parse_expr()
                 self.expect(")", "')'")
+                self.depth -= 1
                 return inner
             m = _PAREN_LITERAL_RE.match(tok)
             # a real '(-x)' or '(+x)' reads as '(' expr ')': the negation of x,

@@ -370,61 +370,112 @@ def _mul(p: Monomials, q: Monomials) -> Monomials:
     return out
 
 
+_ONE = complex(1)  # the coefficient of a leaf that has none
+
+
+def _leaf(e):
+    """The monomial c x_i^m r^mu log^j r that a leaf expands to, as
+    (c, i, m, mu, j) with i = -1 where no variable occurs; () where it
+    expands to nothing (0 to a non-integral power); None for no leaf.
+
+    A leaf is a constant, x_i, r or log r, a literal power of one of these,
+    or the negation of a leaf.
+    """
+    kind = type(e)
+    if kind is ex.Power:
+        c = e.exponent
+        base = e.base
+        kind = type(base)
+        if kind is ex.Radius:
+            return _ONE, -1, 0, c, 0
+        if kind is ex.Variable:
+            m = _as_int(c, "a variable power")
+            if m < 0:
+                raise NotInClassError(
+                    f"negative variable power x{base.index}^{m} is outside the class"
+                )
+            return _ONE, base.index - 1, m, 0j, 0
+        if kind is ex.LogRadius:
+            m = _as_int(c, "a log power")
+            if m < 0:
+                raise NotInClassError("negative log power is outside the class")
+            return _ONE, -1, 0, 0j, m
+        if kind is ex.Constant:
+            if base.value == 0 and (c.imag or not c.real.is_integer()):
+                return ()
+            if base.value == 0 and c.real < 0:
+                raise NotInClassError("zero base with negative exponent")
+            return ex.const_power(base.value, c), -1, 0, 0j, 0
+        return None
+    if kind is ex.Constant:
+        return e.value, -1, 0, 0j, 0
+    if kind is ex.Variable:
+        return _ONE, e.index - 1, 1, 0j, 0
+    if kind is ex.LogRadius:
+        return _ONE, -1, 0, 0j, 1
+    if kind is ex.Radius:
+        return _ONE, -1, 0, _ONE, 0
+    if kind is ex.Negate:
+        leaf = _leaf(e.child)
+        return (-leaf[0],) + leaf[1:] if leaf else leaf
+    return None
+
+
+def _expand_product(factors, n) -> Monomials:
+    """A product's monomials.  While every factor so far is a leaf, the
+    running product is one monomial, updated in place; from the first other
+    factor on, tables are multiplied by _mul.  Coefficients and r-powers are
+    combined as _mul combines them, so that every bit agrees with it."""
+    factors = iter(factors)
+    first = next(factors)
+    leaf = _leaf(first)
+    if not leaf:
+        acc = _expand(first, n)
+    else:
+        c, i, m, mu, j = leaf
+        alpha = [0] * n
+        if i >= 0:
+            alpha[i] = m
+        for f in factors:
+            leaf = _leaf(f)
+            if not leaf:
+                acc = _mul({(tuple(alpha), mu, j): c}, _expand(f, n))
+                break
+            c2, i, m, mu2, j2 = leaf
+            c = 0j + c * c2  # _mul's 0 + c1 c2, which clears signed zeros
+            mu = mu + mu2
+            j += j2
+            if i >= 0:
+                alpha[i] += m
+        else:
+            return {(tuple(alpha), mu, j): c}
+    for f in factors:
+        acc = _mul(acc, _expand(f, n))
+    return acc
+
+
 def _expand(e, n) -> Monomials:
     """Expression -> monomials {(alpha, r-power mu, log-power j): coef}."""
-    zero_alpha = (0,) * n
-    if isinstance(e, ex.Constant):
-        return {(zero_alpha, complex(0), 0): e.value}
-    if isinstance(e, ex.Variable):
-        alpha = tuple(1 if i == e.index - 1 else 0 for i in range(n))
-        return {(alpha, complex(0), 0): complex(1)}
-    if isinstance(e, ex.Radius):
-        return {(zero_alpha, complex(1), 0): complex(1)}
-    if isinstance(e, ex.LogRadius):
-        return {(zero_alpha, complex(0), 1): complex(1)}
-    if isinstance(e, ex.Negate):
-        return {key: -c for key, c in _expand(e.child, n).items()}
+    if isinstance(e, ex.Product):
+        return _expand_product(e.factors, n)
     if isinstance(e, ex.Sum):
         out: Monomials = {}
         for t in e.terms:
             for key, c in _expand(t, n).items():
                 out[key] = out.get(key, complex(0)) + c
         return out
-    if isinstance(e, ex.Product):
-        acc = _expand(e.factors[0], n)
-        for f in e.factors[1:]:
-            acc = _mul(acc, _expand(f, n))
-        return acc
+    if isinstance(e, ex.Negate):
+        return {key: -c for key, c in _expand(e.child, n).items()}
+    leaf = _leaf(e)
+    if leaf is not None:
+        return _expand_product((e,), n) if leaf else {}
     if isinstance(e, ex.Power):
-        c = e.exponent
-        base = e.base
-        if isinstance(base, ex.Radius):
-            return {(zero_alpha, c, 0): complex(1)}
-        if isinstance(base, ex.Variable):
-            m = _as_int(c, "a variable power")
-            if m < 0:
-                raise NotInClassError(
-                    f"negative variable power x{base.index}^{m} is outside the class"
-                )
-            alpha = tuple(m if i == base.index - 1 else 0 for i in range(n))
-            return {(alpha, complex(0), 0): complex(1)}
-        if isinstance(base, ex.LogRadius):
-            m = _as_int(c, "a log power")
-            if m < 0:
-                raise NotInClassError("negative log power is outside the class")
-            return {(zero_alpha, complex(0), m): complex(1)}
-        if isinstance(base, ex.Constant):
-            if base.value == 0 and (c.imag or not c.real.is_integer()):
-                return {}
-            if base.value == 0 and c.real < 0:
-                raise NotInClassError("zero base with negative exponent")
-            return {(zero_alpha, complex(0), 0): ex.const_power(base.value, c)}
-        m = _as_int(c, "a compound-base power")
+        m = _as_int(e.exponent, "a compound-base power")
         if m < 0:
             raise NotInClassError("negative power of a compound base")
         # square-and-multiply
-        acc = {(zero_alpha, complex(0), 0): complex(1)}
-        square = _expand(base, n)
+        acc = {((0,) * n, complex(0), 0): complex(1)}
+        square = _expand(e.base, n)
         while m:
             if m & 1:
                 acc = _mul(acc, square)

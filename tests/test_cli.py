@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qahd import _json, cli, errors, operators, pairing
 from qahd.cli import parse_complex, run
+from qahd.expr import MAX_NESTING
 
 from conftest import EXTREME_EXPONENT, EXTREME_NUMBER, dsl
 
@@ -747,6 +748,28 @@ def test_expression_text_contract_property(argv):
     assert code in (0, 1, 2, 3)
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def _nested_sum(depth):
+    return "(r+" * (depth - 1) + "(r" + ")" * depth
+
+
+def _minus_run(depth):
+    return "r+" + "-" * depth + "r"
+
+
+@pytest.mark.parametrize("verb", sorted(_EXPRESSION_VERBS))
+def test_nesting_bound_on_every_verb(capsys, verb):
+    """The deepest text the parser accepts goes through every verb that reads
+    an expression; one level deeper exits 2 with the error envelope."""
+    options = ["-n", "2", *_EXPRESSION_VERBS[verb]]
+    for text in (_nested_sum, _minus_run):
+        code, out = invoke(capsys, verb, text(MAX_NESTING), *options)
+        assert code == (1 if verb == "verify" else 0)  # its degree is 1, not 0
+        json.loads(out)
+        code, payload = invoke_json(capsys, verb, text(MAX_NESTING + 1), *options)
+        assert code == 2
+        assert payload["error"] == "ExprSyntaxError"
 
 
 def test_benchmark_tracer_bindings_exist_and_are_restored():

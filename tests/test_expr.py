@@ -4,10 +4,11 @@ import cmath
 import math
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qahd.errors import (
@@ -16,13 +17,16 @@ from qahd.errors import (
     NonLiteralExponentError,
     OriginError,
 )
+from qahd import expr
 from qahd.expr import (
+    MAX_NESTING,
     Constant,
     LogRadius,
     Negate,
     Power,
     Product,
     Radius,
+    Sum,
     Variable,
     _Parser,
     differentiate,
@@ -316,3 +320,71 @@ def test_tokens_and_positions_match_the_reference_scanner(fragments, stray, at):
         return
     parser = _Parser(text, 1)
     assert [(tok, parser.start(i)) for i, tok in enumerate(parser.toks)] == want
+
+
+# ---------------------------------------------------------------------------
+# A power of r or x_i is read once per parse for each exponent text.
+
+
+class _NoStore(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class _ForgetfulParser(_Parser):
+    """The parser with a power table that keeps nothing."""
+
+    def __init__(self, text, n):
+        super().__init__(text, n)
+        self.powers = _NoStore()
+
+
+def parse_outcome(text, n):
+    """repr of the tree (it tells signed zeros apart), or the error raised."""
+    try:
+        return repr(parse(text, n))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(dsl(), st.lists(st.sampled_from(_FRAGMENTS), max_size=20).map("".join)))
+@example("x1^2 + x2^2 - x1 ^ 2*r^2*r^(2)*r^2.0")
+@example("x1^2*x3^2")
+@example("r^(-1.5)*r^(-1.25)*x1^25*x1^2")
+@example("r^(1-0i)*r^(1-0 i)/r^(1-0i)")
+def test_power_table_changes_no_parse(text):
+    want = parse_outcome(text, 2)
+    with mock.patch.object(expr, "_Parser", _ForgetfulParser):
+        assert parse_outcome(text, 2) == want
+
+
+def test_repeated_power_is_read_once():
+    text = " + ".join(["x1^2*r^(-1.5+0.2i)"] * 200)
+    with mock.patch.object(_Parser, "literal", autospec=True, side_effect=_Parser.literal) as read:
+        tree = parse(text, 1)
+    assert read.call_count == 2  # '2' and '(-1.5+0.2i)'
+    first, last = tree.terms[0].factors, tree.terms[-1].factors
+    assert first[1] is last[1] and first[1] == Power(Radius(), complex(-1.5, 0.2))
+    with mock.patch.object(expr, "_Parser", _ForgetfulParser):
+        assert parse(text, 1) == tree
+
+
+# ---------------------------------------------------------------------------
+# '(' and unary '-' nest to MAX_NESTING levels, counted together.
+
+
+def test_nesting_bound():
+    nested_sum = "(r+" * (MAX_NESTING - 1) + "(r" + ")" * MAX_NESTING
+    assert isinstance(parse(nested_sum, 1), Sum)
+    assert isinstance(parse("r+" + "-" * MAX_NESTING + "r", 1), Sum)
+    assert isinstance(parse("-(" * (MAX_NESTING // 2) + "r" + ")" * (MAX_NESTING // 2), 1), Negate)
+    for text, position in [
+        ("(" * (MAX_NESTING + 1) + "r" + ")" * (MAX_NESTING + 1), MAX_NESTING),
+        ("r+" + "-" * (MAX_NESTING + 1) + "r", 2 + MAX_NESTING),
+        ("-(" * (MAX_NESTING // 2) + "-r" + ")" * (MAX_NESTING // 2), MAX_NESTING),
+        ("r+" + "-" * 1000 + "r", 2 + MAX_NESTING),
+    ]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text, 1)
+        assert err.value.position == position

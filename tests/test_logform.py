@@ -4,17 +4,33 @@ import cmath
 import itertools
 import json
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qahd import _json
+from qahd import _json, logform
 from qahd.errors import ExpansionLimitError, NotInClassError, UndefinedDegreeError
-from qahd.expr import parse
+from qahd.expr import (
+    Constant,
+    LogRadius,
+    Negate,
+    Power,
+    Product,
+    Radius,
+    Sum,
+    Variable,
+    parse,
+)
 from qahd.logform import (
     AngularPart,
     CoeffArray,
     LogForm,
+    _expand,
+    _mul,
     angular_is_zero,
     canonicalize,
     eval_form,
@@ -300,3 +316,102 @@ def test_expansion_budget():
     # its largest product is 35 x 969 monomials
     (form,) = canonicalize(parse("(x1+x2+x3+r)^20", 3), 3).components()
     assert (form.degree, form.order) == (20, 0)
+
+
+# ---------------------------------------------------------------------------
+# A product of leaf factors is folded into one monomial; the reference is
+# the pairwise product of the factors' own tables.
+
+
+def pairwise_expansion(factors, n):
+    """Each factor's table, multiplied left to right by _mul."""
+    acc = _expand(factors[0], n)
+    for f in factors[1:]:
+        acc = _mul(acc, _expand(f, n))
+    return acc
+
+
+def bits(z):
+    return struct.pack("dd", z.real, z.imag)
+
+
+def outcome(expand, factors, n):
+    """The table in order, every complex as its bits; or the error raised."""
+    try:
+        table = expand(factors, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(alpha, bits(mu), j, bits(c)) for (alpha, mu, j), c in table.items()]
+
+
+SIGNED = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+CONSTANTS = SIGNED + [complex(-2.5), complex(1.5, -0.0), complex(0.3, -2.0), complex(-1, 1)]
+R_EXPONENTS = SIGNED + [complex(-1.5, -0.0), complex(0.5, 0.2), complex(-2.9, -0.9), complex(3)]
+
+
+def leaves(n):
+    variable = st.integers(1, n).map(Variable)
+    atom = st.one_of(
+        st.sampled_from(CONSTANTS).map(Constant), variable, st.just(Radius()), st.just(LogRadius())
+    )
+    power = st.one_of(
+        st.builds(Power, variable, st.sampled_from([0, 1, 2, 3, -1, 1.5]).map(complex)),
+        st.builds(Power, st.just(Radius()), st.sampled_from(R_EXPONENTS)),
+        st.builds(Power, st.just(LogRadius()), st.sampled_from([0, 1, 3, 0.5, -1]).map(complex)),
+        # 0 to a non-integral power expands to nothing, 0 to a negative one is refused
+        st.builds(Power, st.sampled_from(CONSTANTS + [complex(-2)]).map(Constant),
+                  st.sampled_from([complex(2), complex(0.5), complex(-1), complex(1, 1)])),
+    )
+    leaf = st.one_of(atom, power)
+    return st.one_of(leaf, leaf.map(Negate), leaf.map(Negate).map(Negate))
+
+
+def factors(n):
+    pair = st.tuples(leaves(n), leaves(n)).map(Sum)
+    compound = st.one_of(pair, pair.map(Negate),
+                         st.builds(Power, pair, st.sampled_from([complex(2), complex(3)])))
+    return st.one_of(leaves(n), leaves(n), leaves(n), compound)
+
+
+PRODUCTS = st.one_of(
+    *[st.tuples(st.just(n), st.lists(factors(n), min_size=1, max_size=8)) for n in (1, 2, 3)]
+)
+
+
+# a leaf's own table: its key and coefficient bits, signed zeros included
+LEAF_TABLES = [
+    (Constant(complex(-0.0, 0.0)), 1, [((0,), 0j, 0, complex(-0.0, 0.0))]),
+    (Power(Radius(), complex(1, -0.0)), 1, [((0,), complex(1, -0.0), 0, 1 + 0j)]),
+    (Negate(Variable(2)), 2, [((0, 1), 0j, 0, complex(-1, -0.0))]),
+    (Power(Variable(1), complex(3)), 2, [((3, 0), 0j, 0, 1 + 0j)]),
+    (Power(LogRadius(), complex(2)), 1, [((0,), 0j, 2, 1 + 0j)]),
+    (Power(Constant(complex(-2)), complex(2)), 1, [((0,), 0j, 0, 4 + 0j)]),
+    (Power(Constant(0j), complex(0.5)), 1, []),
+]
+
+
+@pytest.mark.parametrize("leaf, n, want", LEAF_TABLES)
+def test_leaf_table(leaf, n, want):
+    table = outcome(lambda f, n: _expand(f[0], n), [leaf], n)
+    assert table == [(alpha, bits(mu), j, bits(c)) for alpha, mu, j, c in want]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(PRODUCTS)
+@example((2, [Variable(1), Power(Variable(1), complex(-1)), Radius()]))
+@example((1, [Radius(), Power(LogRadius(), complex(0.5))]))
+@example((1, [Power(Radius(), complex(1, -0.0)), Negate(Power(Radius(), complex(-1.5, -0.0)))]))
+def test_product_fold_is_bit_identical_to_pairwise_mul(case):
+    n, fs = case
+    want = outcome(pairwise_expansion, fs, n)
+    assert outcome(lambda f, n: _expand(Product(tuple(f)), n), fs, n) == want
+
+
+def test_sum_of_leaf_products_multiplies_no_tables():
+    terms = [f"{1 + k % 7}*x1^{k % 3}*x2^{2 - k % 3}*r^(-1.5+0.2i)*log(r)^{k % 4}"
+             for k in range(200)]
+    tree = parse(" + ".join(terms), 2)
+    with mock.patch.object(logform, "_mul", wraps=_mul) as mul:
+        (form,) = canonicalize(tree, 2).components()
+    assert mul.call_count == 0
+    assert form.order == 3
