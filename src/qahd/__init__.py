@@ -37,7 +37,6 @@ from .expr import (
     Radius,
     Sum,
     Variable,
-    differentiate,
     eval_expr,
     parse,
     render,
@@ -54,7 +53,6 @@ from .logform import (
     CoeffArray,
     LogForm,
     MultiForm,
-    angular_is_zero,
     canonicalize,
     eval_form,
     forms_equal,
@@ -71,7 +69,7 @@ from .operators import (
     verify_qahd,
 )
 from .pairing import QuadratureSpec, TestFunction, pair, verify_pairing_identity
-from .spectral import build_R, check_group_law, nilpotent_action, shift_matrix
+from .spectral import build_R
 
 __version__ = "0.1.0"
 

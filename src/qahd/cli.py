@@ -179,6 +179,9 @@ def _cmd_pair_verify(args) -> int:
 
 
 def _cmd_identify(args) -> int:
+    if args.M > identify.MAX_SAMPLES or args.kmax > identify.MAX_ORDER:
+        raise ValueError(f"identify takes --M up to {identify.MAX_SAMPLES} and --kmax up to "
+                         f"{identify.MAX_ORDER}, got {args.M} and {args.kmax}")
     tree = parse(args.expr, args.n)
 
     def f(points):
@@ -300,8 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=float, nargs="+", default=None,
                    help="probe base point (default: multi-probe random directions)")
     p.add_argument("--delta", type=float, default=0.1, help="log step (default 0.1)")
-    p.add_argument("--M", type=int, default=16, help="sample count (default 16)")
-    p.add_argument("--kmax", type=int, default=4, help="largest order tried (default 4)")
+    p.add_argument("--M", type=int, default=16,
+                   help=f"sample count, at most {identify.MAX_SAMPLES} (default 16)")
+    p.add_argument("--kmax", type=int, default=4,
+                   help=f"largest order tried, at most {identify.MAX_ORDER} (default 4)")
     p.set_defaults(fn=_cmd_identify)
 
     return parser

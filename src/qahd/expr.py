@@ -1,4 +1,4 @@
-"""Expression DSL: AST, parser, printer, evaluator and symbolic derivative.
+"""Expression DSL: AST, parser, printer and evaluator.
 
 The input language covers variables x1..xn, the radius r, log(r),
 arithmetic, and literal (possibly complex) powers.  Division is sugar for
@@ -532,63 +532,4 @@ def _eval(e, cols, r, ln_r):
         out = np.exp(c * np.log(np.where(zero, 1, b)))
         out[zero] = 0
         return out
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Symbolic differentiation.  dr/dxi = xi * r^-1, d(log r)/dxi = xi * r^-2.
-
-
-def _mk_sum(terms):
-    kept = [t for t in terms if not (isinstance(t, Constant) and t.value == 0)]
-    if not kept:
-        return Constant(complex(0))
-    if len(kept) == 1:
-        return kept[0]
-    return Sum(tuple(kept))
-
-
-def _mk_prod(factors):
-    kept = []
-    for f in factors:
-        if isinstance(f, Constant):
-            if f.value == 0:
-                return Constant(complex(0))
-            if f.value == 1:
-                continue
-        kept.append(f)
-    if not kept:
-        return Constant(complex(1))
-    if len(kept) == 1:
-        return kept[0]
-    return Product(tuple(kept))
-
-
-def differentiate(e: Expression, i: int) -> Expression:
-    """Symbolic partial derivative with respect to x_i (1-based)."""
-    if isinstance(e, Constant):
-        return Constant(complex(0))
-    if isinstance(e, Variable):
-        return Constant(complex(1) if e.index == i else complex(0))
-    if isinstance(e, Radius):
-        return _mk_prod([Variable(i), Power(RADIUS, complex(-1))])
-    if isinstance(e, LogRadius):
-        return _mk_prod([Variable(i), Power(RADIUS, complex(-2))])
-    if isinstance(e, Negate):
-        return Negate(differentiate(e.child, i))
-    if isinstance(e, Sum):
-        return _mk_sum([differentiate(t, i) for t in e.terms])
-    if isinstance(e, Product):
-        terms = []
-        for j, f in enumerate(e.factors):
-            df = differentiate(f, i)
-            rest = list(e.factors[:j]) + [df] + list(e.factors[j + 1:])
-            terms.append(_mk_prod(rest))
-        return _mk_sum(terms)
-    if isinstance(e, Power):
-        c = e.exponent
-        if c == 0:
-            return Constant(complex(0))
-        db = differentiate(e.base, i)
-        return _mk_prod([Constant(c), Power(e.base, c - 1), db])
     raise TypeError(f"not an expression node: {e!r}")

@@ -28,6 +28,11 @@ from .errors import (
 FIT_RESIDUAL_FACTOR = 1e-9
 CLUSTER_TOLERANCE = 1e-6
 ALIAS_MARGIN = 0.9
+# The largest --M and --kmax of the CLI.  With no fitting order, kmax + 1 fits
+# on each of 3n rays of M samples: at n = 3, M = 1024, 0.6 to 0.9 s for kmax =
+# 48 on a 2-core host, and 1.3 to 2.9 s for kmax = 64.
+MAX_SAMPLES = 1024
+MAX_ORDER = 48
 
 
 @dataclass(frozen=True)

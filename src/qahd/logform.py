@@ -8,7 +8,7 @@ equality well defined.
 
 from __future__ import annotations
 
-import math
+import cmath
 import operator
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -62,14 +62,10 @@ class AngularPart:
     def scale(self, c: complex) -> "AngularPart":
         return AngularPart(self.n, {a: v * c for a, v in self.atoms.items()})
 
-    def sub(self, other: "AngularPart") -> "AngularPart":
-        return self.add(other.scale(complex(-1)))
-
     def max_abs(self) -> float:
-        try:
-            return max((abs(c) for c in self.atoms.values()), default=0.0)
-        except OverflowError:  # a |c| past the float range though its parts are not
-            return math.inf
+        """Half the largest modulus, max |c/2|: finite even where |c| is not,
+        and exact, so a ratio of two of these is the ratio of the moduli."""
+        return max((abs(0.5 * c) for c in self.atoms.values()), default=0.0)
 
     def reduced(self) -> "AngularPart":
         """Normal form modulo x1^2/r^2 -> 1 - sum_{i>=2} x_i^2/r^2.
@@ -97,11 +93,6 @@ class AngularPart:
 
     def __repr__(self):
         return f"AngularPart(n={self.n}, atoms={self.atoms!r})"
-
-
-def angular_is_zero(h: AngularPart) -> bool:
-    """True iff h vanishes identically on the sphere (syzygy-aware)."""
-    return not h.reduced().atoms  # every atom kept is above the threshold
 
 
 class CoeffArray:
@@ -180,7 +171,7 @@ class LogForm:
     @classmethod
     def make(cls, n: int, lam: complex, coeffs: Iterable[AngularPart]) -> "LogForm":
         parts = list(coeffs)
-        while parts and angular_is_zero(parts[-1]):
+        while parts and not parts[-1].reduced().atoms:  # zero on the sphere
             parts.pop()
         if not parts:
             return cls.zero(n)
@@ -231,11 +222,12 @@ class LogForm:
         return self.add(other.scale(complex(-1)))
 
     def coeff_norm(self) -> float:
-        """Max syzygy-reduced coefficient magnitude across log powers."""
+        """Half the largest syzygy-reduced coefficient modulus (`max_abs`)."""
         return max(h.reduced().max_abs() for h in self.coeffs)
 
     def raw_norm(self) -> float:
-        return max(h.max_abs() for h in self.coeffs)
+        """The largest coefficient modulus, before syzygy reduction."""
+        return 2 * max(h.max_abs() for h in self.coeffs)
 
     def to_dict(self) -> dict:
         out = {"n": self.n}
@@ -313,26 +305,6 @@ class MultiForm:
 
     def components(self) -> Tuple[LogForm, ...]:
         return self.forms
-
-    def add(self, other: "MultiForm") -> "MultiForm":
-        groups = list(self.forms)
-        out = []
-        for g in other.forms:
-            merged = False
-            for i, f in enumerate(groups):
-                if f is not None and abs(f._lam - g._lam) <= DEGREE_TOLERANCE:
-                    out.append(f.add(g))
-                    groups[i] = None
-                    merged = True
-                    break
-            if not merged:
-                out.append(g)
-        out.extend(f for f in groups if f is not None)
-        return MultiForm(self.n, out)
-
-    def eval(self, x):
-        """Sum of the components' values; a single point or a batch (m, n)."""
-        return sum((eval_form(f, x) for f in self.forms), eval_form(LogForm.zero(self.n), x))
 
     def to_dict(self) -> list:
         if self.is_zero:
@@ -486,13 +458,40 @@ def _expand(e, n) -> Monomials:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+# Degree cells of width 2 DEGREE_TOLERANCE, in exact integers: degrees within
+# the tolerance, even by a rounded distance, lie in the same or adjacent cells.
+_CELL = (2 * DEGREE_TOLERANCE).as_integer_ratio()
+
+
+def _group_of(lam: complex, groups: list, cells: dict, tables: dict) -> dict:
+    """Table of the first of groups [(lam, table)] within DEGREE_TOLERANCE of
+    lam, as a scan in order finds it, from the 3 x 3 cells around lam; or of a
+    new group.  tables keeps it for a finite lam: no later group precedes it."""
+    if not cmath.isfinite(lam):  # within the tolerance of no degree, not even itself
+        groups.append((lam, {}))
+        return groups[-1][1]
+    re, im = (p * _CELL[1] // (q * _CELL[0])
+              for p, q in (lam.real.as_integer_ratio(), lam.imag.as_integer_ratio()))
+    near = [i for dr in (-1, 0, 1) for di in (-1, 0, 1)
+            for i in cells.get((re + dr, im + di), ())
+            if abs(lam - groups[i][0]) <= DEGREE_TOLERANCE]
+    if not near:
+        near = [len(groups)]
+        cells.setdefault((re, im), []).append(len(groups))
+        groups.append((lam, {}))
+    tables[lam] = groups[min(near)][1]
+    return tables[lam]
+
+
 def canonicalize(e: ex.Expression, n: int) -> MultiForm:
     """Rewrite an expression into grouped log-power normal forms.
 
     Each monomial x^alpha r^mu log^j r becomes atom(alpha) r^(mu+|alpha|)
     log^j r; terms are grouped by total degree, then by log power.
     """
-    groups = []  # (lam, {j: {alpha: coef}})
+    groups = []  # (lam, {j: {alpha: coef}}) in the order they were made
+    cells: Dict[Tuple[int, int], List[int]] = {}  # degree cell -> its groups
+    tables = {}  # finite degree met -> its group's table
     for (alpha, mu, j), c in _expand(e, n).items():
         weight = sum(alpha)
         # a high-degree monomial costs nothing until syzygy reduction, so its
@@ -503,13 +502,9 @@ def canonicalize(e: ex.Expression, n: int) -> MultiForm:
                 f"the limit {MAX_MONOMIAL_DEGREE}"
             )
         lam = mu + weight
-        for key, table in groups:
-            if abs(lam - key) <= DEGREE_TOLERANCE:
-                tab = table
-                break
-        else:
-            tab = {}
-            groups.append((lam, tab))
+        tab = tables.get(lam)
+        if tab is None:
+            tab = _group_of(lam, groups, cells, tables)
         row = tab.setdefault(j, {})
         row[alpha] = row.get(alpha, complex(0)) + c
     forms = []

@@ -205,12 +205,12 @@ def verify_qahd(form: LogForm, lam: complex, k: int,
     check_finite(residuals, "definitional residual")
     definitional = float(residuals.max(initial=0.0))
 
-    norm = form.coeff_norm()
+    norm = form.coeff_norm()  # norms of halved coefficients: finite, ratios exact
     euler_nilpotency = op_power("euler_minus_lambda", k + 1, form, lam=lam).coeff_norm() / norm
     # the |a^s|^(k+1) that Delta_a(lam)^(k+1) carries is divided out
     dilation_nilpotency = max(op_power("scaled_delta_a", k + 1, form, a=a, lam=lam).coeff_norm()
                               for a in a_samples) / norm
-    # a ratio is inf / inf where a coefficient's modulus is past the float range
+    # a ratio overflows only where the operator's entries are near the float range
     check_finite(np.array([euler_nilpotency, dilation_nilpotency]), "nilpotency criteria")
 
     structural = abs(form.degree - lam) <= DEGREE_TOLERANCE and form.order == k

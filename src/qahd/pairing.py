@@ -79,10 +79,6 @@ class TestFunction:
             u2 = np.sum(((points - c) / self.width) ** 2, axis=0)
         return _bump(u2)
 
-    def __call__(self, x) -> float:
-        pts = np.asarray(x, dtype=float).reshape(self.n, 1)
-        return float(self.values(pts)[0])
-
     def scaled(self, a: float) -> "TestFunction":
         """The bump x -> phi(x/a)."""
         check_scale(a, "scale")
@@ -93,10 +89,6 @@ class TestFunction:
     def support_radii(self) -> Tuple[float, float]:
         c = math.sqrt(sum(v * v for v in self.center))
         return (max(0.0, c - self.width), c + self.width)
-
-    def contains_origin(self) -> bool:
-        # |c| - width <= 0 exactly when |c| <= width, for finite floats
-        return self.support_radii()[0] == 0.0
 
     def to_dict(self) -> dict:
         return {"n": self.n, "center": list(self.center), "width": self.width}
@@ -125,9 +117,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.radial < 4 or self.angular < 4:
             raise ValueError("node counts must be >= 4")
-
-    def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(2 * self.radial, 2 * self.angular)
 
     def rule(self, n: int):
         """Gauss-Legendre nodes and weights on [-1, 1], each (Kr,), unit

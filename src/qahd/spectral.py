@@ -1,7 +1,8 @@
-"""Finite truncations of the shift operator T and the dilation matrix R_a.
+"""Finite truncations of the dilation matrix R_a, and a^lam.
 
 R_a is the upper-triangular Toeplitz matrix a^lam (1 - (log a) T)^(-1) with
-entries a^lam (log a)^(j-i); T is the superdiagonal shift with T^N = 0.
+entries a^lam (log a)^(j-i), T the superdiagonal shift with T^N = 0; the
+operators apply its binomial variant, `dilation_coefficient_matrix`.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ def scale_power(a: float, lam: complex) -> complex:
         value = complex(math.inf)  # reported below
     check_finite(value, "{}^{}", a, lam)
     return value
-
-
-def shift_matrix(size: int) -> np.ndarray:
-    """Superdiagonal nilpotent shift; (T f)_k picks component k+1."""
-    t = np.zeros((size, size), dtype=complex)
-    for i in range(size - 1):
-        t[i, i + 1] = 1.0
-    return t
 
 
 @dataclass(frozen=True)
@@ -69,41 +62,6 @@ def build_R(a: float, lam: complex, size: int) -> DilationMatrix:
         m[0, 0] = math.inf  # (log a)^(j-i) left the range: reported below
     check_finite(m, "dilation matrix of size {} at a={}", size, a)
     return DilationMatrix(size, float(a), lam, m)
-
-
-def check_group_law(a: float, b: float, lam: complex, size: int) -> float:
-    """Max-norm of R_a R_b - R_ab on the common truncation."""
-    ra = build_R(a, lam, size).entries
-    rb = build_R(b, lam, size).entries
-    rab = build_R(a * b, lam, size).entries
-    return float(np.max(np.abs(ra @ rb - rab)))
-
-
-def nilpotent_action(size: int, a: float, lam: complex, k: int) -> float:
-    """|k-th component of (R_a - a^lam I)^(k+1) e_k|; zero by band structure."""
-    if k < 0 or k >= size:
-        raise IndexError(f"k={k} out of range for size {size}")
-    lam = complex(lam)
-    r = build_R(a, lam, size).entries
-    amp = scale_power(a, lam)
-    d = r - amp * np.eye(size, dtype=complex)
-    m = np.linalg.matrix_power(d, k + 1)
-    v = np.zeros(size, dtype=complex)
-    v[k] = 1.0
-    return float(abs((m @ v)[k]))
-
-
-def geometric_factor(a: float, lam: complex, size: int) -> np.ndarray:
-    """The truncated series sum_s (log a)^s T^s (no a^lam prefactor)."""
-    check_scale(a, "scale")
-    la = math.log(a)
-    t = shift_matrix(size)
-    out = np.zeros((size, size), dtype=complex)
-    power = np.eye(size, dtype=complex)
-    for s in range(size):
-        out += la ** s * power
-        power = power @ t
-    return out
 
 
 def dilation_coefficient_matrix(a: float, lam: complex, size: int) -> np.ndarray:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qahd.logform import AngularPart, LogForm
+from qahd.logform import AngularPart, LogForm, eval_form
 from qahd.operators import random_points  # noqa: F401  (shared with the suites)
 from qahd.pairing import TestFunction
+from qahd.spectral import build_R
 
 # keep pytest from trying to collect the bump class by its name
 TestFunction.__test__ = False
@@ -18,6 +19,19 @@ TestFunction.__test__ = False
 def binomial_annihilation_weights(order):
     """Signed binomial weights of the order-th finite difference."""
     return tuple((-1) ** (order - m) * math.comb(order, m) for m in range(order + 1))
+
+
+def check_group_law(a, b, lam, size):
+    """Max-norm of R_a R_b - R_ab on the common truncation."""
+    ra = build_R(a, lam, size).entries
+    rb = build_R(b, lam, size).entries
+    rab = build_R(a * b, lam, size).entries
+    return float(np.max(np.abs(ra @ rb - rab)))
+
+
+def multiform_values(m, x):
+    """Sum of the components' values at a point x or a batch (m, n)."""
+    return sum(eval_form(f, x) for f in m.components())
 
 
 def random_form(rng, n=None, k=None, lam=None, max_alpha=4):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qahd import _json, cli, errors, operators, pairing
+from qahd import _json, cli, errors, identify, operators, pairing
 from qahd.cli import parse_complex, run
 from qahd.expr import MAX_NESTING
 
@@ -187,6 +187,14 @@ def test_extreme_constant_exit_code(capsys):
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 0, argv
+    # the nilpotency ratios are taken on halved coefficients, so ||F|| = inf
+    # does not make them inf / inf: (E - 1)F = -F gives exactly 1
+    code, payload = invoke_json(capsys, "verify", big, "--degree", "1", "--order", "0")
+    assert code == 1
+    criteria = payload["criteria"]
+    assert all(math.isfinite(criteria[name])
+               for name in ("definitional", "dilation_nilpotency", "euler_nilpotency"))
+    assert criteria["euler_nilpotency"] == 1.0
     # identify fits samples of any scale: no overflow in the fit, no
     # non-finite residual reported as an input error
     for expr, k in (("log(r)*1e308", 1), (big, 0), ("log(r)*1e-300", 1)):
@@ -527,6 +535,33 @@ def test_identify_insufficient_samples(capsys):
     )
     assert code == 2
     assert payload["error"] == "InsufficientSamplesError"
+
+
+def test_identify_bounds_checked_before_sampling(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rays sampled past a bound")
+
+    monkeypatch.setattr(identify, "sample_rays", refuse)
+    over_m, over_k = str(identify.MAX_SAMPLES + 1), str(identify.MAX_ORDER + 1)
+    for argv in (
+        ("identify", "-n", "1", "r", "--M", over_m),
+        ("identify", "-n", "1", "r", "--M", over_m, "--x0", "1"),
+        ("identify", "-n", "3", "r", "--kmax", over_k),
+        ("identify", "-n", "1", "r", "--kmax", over_k, "--x0", "1"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 2, argv
+        assert payload["error"] == "ValueError"
+        assert str(identify.MAX_SAMPLES) in payload["message"]
+    monkeypatch.undo()
+    # the bounds themselves are admitted
+    for argv in (
+        ("identify", "-n", "1", "r", "--M", str(identify.MAX_SAMPLES), "--kmax", "0", "--x0", "1"),
+        ("identify", "-n", "1", "r", "--M", "99", "--kmax", str(identify.MAX_ORDER), "--x0", "1"),
+    ):
+        code, payload = invoke_json(capsys, *argv)
+        assert code == 0, argv
+        assert payload["k"] == 0
 
 
 def test_usage_error_exit_code(capsys):

@@ -213,7 +213,7 @@ def big_form(rng, n, k, atoms, max_weight=6):
             parts.append(AngularPart(n, table))
         form = LogForm.make(n, lam, parts)
         if not form.is_zero and form.order == k:
-            return form.scale(1.0 / form.coeff_norm())
+            return form.scale(0.5 / form.coeff_norm())  # coeff_norm is half the modulus
 
 
 def form_cases(seed, count):
@@ -233,12 +233,12 @@ def same_action(op, ref, form):
     absolute COEFF_ZERO_THRESHOLD, and on a result of norm 1e-8 that pruning,
     not the arithmetic, would decide the comparison.
     """
-    norm = op(form).coeff_norm()
+    norm = 2 * op(form).coeff_norm()  # coeff_norm is half the modulus
     if norm == 0.0:
-        return ref(form).coeff_norm() <= 1e-12
+        return 2 * ref(form).coeff_norm() <= 1e-12
     scaled = form.scale(1e6 / norm)
     got, want = op(scaled), ref(scaled)
-    unit = 1.0 / want.coeff_norm()
+    unit = 0.5 / want.coeff_norm()
     return forms_equal(got.scale(unit), want.scale(unit))
 
 

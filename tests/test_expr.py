@@ -1,4 +1,4 @@
-"""Parser, printer, evaluator and derivative of the expression DSL."""
+"""Parser, printer and evaluator of the expression DSL."""
 
 import cmath
 import math
@@ -29,7 +29,6 @@ from qahd.expr import (
     Sum,
     Variable,
     _Parser,
-    differentiate,
     eval_expr,
     parse,
     render,
@@ -121,66 +120,6 @@ def test_eval_complex_power():
 def test_eval_at_origin_raises():
     with pytest.raises(OriginError):
         eval_expr(parse("r^2", 2), (0, 0))
-
-
-def test_differentiate_polynomial_case():
-    d = differentiate(parse("r^2", 2), 1)
-    for x in [(1.0, 2.0), (0.5, -0.25), (-3.0, 4.0)]:
-        assert eval_expr(d, x) == pytest.approx(2 * x[0], rel=1e-12)
-
-
-def test_differentiate_log_radius():
-    d = differentiate(parse("log(r)", 2), 2)
-    expected = parse("x2 * r^(-2)", 2)
-    for x in [(1.0, 2.0), (0.5, -0.25)]:
-        assert eval_expr(d, x) == pytest.approx(eval_expr(expected, x), rel=1e-12)
-
-
-def _central_derivative(tree, x, i, h=1e-4):
-    """Richardson-extrapolated central difference in coordinate i."""
-
-    def shifted(step):
-        y = list(x)
-        y[i - 1] += step
-        return eval_expr(tree, tuple(y))
-
-    d1 = (shifted(h) - shifted(-h)) / (2 * h)
-    d2 = (shifted(h / 2) - shifted(-h / 2)) / h
-    return (4 * d2 - d1) / 3
-
-
-def test_differentiate_against_finite_differences_example():
-    tree = parse("r^(-1)*log(r)", 3)
-    d = differentiate(tree, 1)
-    rng = np.random.default_rng(5)
-    for x in random_points(rng, 3, 20):
-        want = _central_derivative(tree, x, 1)
-        assert abs(eval_expr(d, x) - want) <= 1e-8 * (1 + abs(want))
-        # closed form: -x1 r^-3 log r + x1 r^-3
-        closed = eval_expr(parse("-x1*r^(-3)*log(r) + x1*r^(-3)", 3), x)
-        assert eval_expr(d, x) == pytest.approx(closed, rel=1e-12)
-
-
-def test_derivative_property_random_expressions():
-    # small exponents keep the finite-difference oracle itself accurate
-    rng = np.random.default_rng(11)
-    gen = ExprGen(rng, 2, max_num=3)
-    checked = 0
-    while checked < 25:
-        text = gen.expr()
-        tree = parse(text, 2)
-        i = int(rng.integers(1, 3))
-        d = differentiate(tree, i)
-        for x in random_points(rng, 2, 5, r_min=0.8, r_max=1.5):
-            try:
-                want = _central_derivative(tree, x, i)
-                got = eval_expr(d, x)
-            except OverflowError:
-                continue
-            if abs(want) > 1e6:  # ill-scaled draw, skip
-                continue
-            assert abs(got - want) <= 1e-7 * (1 + abs(want)), text
-        checked += 1
 
 
 def test_homogeneity_of_monomials():

@@ -1,11 +1,13 @@
 """Degree/order recovery from ray samples."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qahd.cli import run
 from qahd.errors import (
     InsufficientSamplesError,
     NoFitError,
@@ -261,3 +263,22 @@ def test_identify_does_not_depend_on_the_samples_scale():
         lam, k, coeffs, residual = prony_recover(s, 2)
         assert abs(lam - complex(-1, 0.5)) < 1e-9 and k == 1, c
         assert residual <= 1e-9 * c, c
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a three-component form fits one recurrence of order 2 within the "
+    "absolute FIT_RESIDUAL_FACTOR at a small step, so identify reports one "
+    "(lambda, k) = (1.67, 1) that does not exist; multi-degree recovery and a "
+    "relative fit bound are ROADMAP items 9 and 12",
+)
+def test_identify_refuses_a_multi_degree_form(capsys):
+    # classify reports three components, (1, 0), (2, 1) and (3, 0); at the
+    # default step the same input exits 3 with RootSplitError
+    for argv in (
+        ["identify", "-n", "1", "r + r^2*log(r) + r^3", "--x0", "1", "--delta", "0.001"],
+        ["identify", "-n", "2", "r + r^2*log(r) + r^3", "--delta", "0.001"],
+    ):
+        code = run(argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3, (argv, payload)

@@ -22,24 +22,9 @@ from qahd import _json
 from qahd.errors import NonPositiveScaleError
 from qahd.logform import LogForm
 from qahd.operators import dilate
-from qahd.spectral import (
-    build_R,
-    check_group_law,
-    dilation_coefficient_matrix,
-    geometric_factor,
-    nilpotent_action,
-    shift_matrix,
-)
+from qahd.spectral import build_R, dilation_coefficient_matrix
 
-from conftest import random_form
-
-
-def test_shift_matrix_structure():
-    t = shift_matrix(4)
-    assert t[0, 1] == 1 and t[2, 3] == 1
-    assert np.count_nonzero(t) == 3
-    assert np.all(np.linalg.matrix_power(t, 4) == 0)
-    assert np.any(np.linalg.matrix_power(t, 3) != 0)
+from conftest import check_group_law, random_form
 
 
 def test_build_R_unit_log():
@@ -56,7 +41,7 @@ def test_build_R_two_by_two():
     m = build_R(2.0, complex(1), 2).entries
     assert np.allclose(m, [[2, 2 * math.log(2)], [0, 2]], atol=1e-15)
     # cross-check: inverse of (1 - ln2 T) / 2
-    t = shift_matrix(2)
+    t = np.eye(2, k=1)  # the shift T
     inv = np.linalg.inv((np.eye(2) - math.log(2) * t) / 2)
     assert np.max(np.abs(m - inv)) < 1e-14
 
@@ -65,7 +50,8 @@ def test_build_R_matches_truncated_geometric_series():
     for a, lam, size in [(0.5, complex(2), 4), (math.pi, complex(-1, 2), 6)]:
         m = build_R(a, lam, size).entries
         amp = cmath.exp(lam * math.log(a))
-        series = amp * geometric_factor(a, lam, size)
+        t = np.eye(size, k=1)
+        series = amp * sum(math.log(a) ** s * np.linalg.matrix_power(t, s) for s in range(size))
         assert np.max(np.abs(m - series)) < 1e-12 * np.max(np.abs(m))
 
 
@@ -129,17 +115,6 @@ def test_binomial_matrix_satisfies_group_law():
         assert np.max(np.abs(ba @ bb - bab)) < 1e-12 * scale
 
 
-def test_nilpotent_action_examples():
-    assert nilpotent_action(4, math.e, complex(0), 0) == 0.0
-    assert nilpotent_action(4, 2.0, complex(1), 2) < 1e-13
-    assert nilpotent_action(8, math.pi, complex(-1, 2), 6) < 1e-11
-
-
-def test_nilpotent_action_out_of_range():
-    with pytest.raises(IndexError):
-        nilpotent_action(4, 2.0, complex(0), 4)
-
-
 def test_band_structure_of_difference_powers():
     # (R_a - a^lam I)^(k+1) vanishes on all columns with index <= k
     for a, lam, size in [(2.0, complex(1), 6), (0.5, complex(-1, 1), 5)]:
@@ -157,8 +132,8 @@ def test_difference_factors_commute():
         r = build_R(a, lam, size).entries
         amp = cmath.exp(lam * math.log(a))
         la = math.log(a)
-        t = shift_matrix(size)
-        g = geometric_factor(a, lam, size)
+        t = np.eye(size, k=1)
+        g = sum(la ** s * np.linalg.matrix_power(t, s) for s in range(size))
         lhs = amp * la * (t @ g)
         rhs = amp * la * (g @ t)
         d = r - amp * np.eye(size)
@@ -197,7 +172,8 @@ def test_dilate_matches_binomial_matrix_action():
                 term = f.coeffs[j].scale(b[i, j])
                 want = term if want is None else want.add(term)
             got = g.coeffs[i] if i < len(g.coeffs) else want.scale(0)
-            assert got.sub(want).max_abs() < 1e-12 * (1 + want.max_abs())
+            # max_abs is half the largest modulus
+            assert 2 * got.add(want.scale(-1)).max_abs() < 1e-12 * (1 + 2 * want.max_abs())
 
 
 def test_matrix_json_shape():
