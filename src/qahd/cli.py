@@ -179,9 +179,9 @@ def _cmd_pair_verify(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    if args.M > identify.MAX_SAMPLES or args.kmax > identify.MAX_ORDER:
-        raise ValueError(f"identify takes --M up to {identify.MAX_SAMPLES} and --kmax up to "
-                         f"{identify.MAX_ORDER}, got {args.M} and {args.kmax}")
+    if args.M > identify.MAX_SAMPLES or not 0 <= args.kmax <= identify.MAX_ORDER:
+        raise ValueError(f"identify takes --M up to {identify.MAX_SAMPLES} and --kmax from 0 "
+                         f"to {identify.MAX_ORDER}, got {args.M} and {args.kmax}")
     tree = parse(args.expr, args.n)
 
     def f(points):
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=16,
                    help=f"sample count, at most {identify.MAX_SAMPLES} (default 16)")
     p.add_argument("--kmax", type=int, default=4,
-                   help=f"largest order tried, at most {identify.MAX_ORDER} (default 4)")
+                   help=f"largest order tried, 0 to {identify.MAX_ORDER} (default 4)")
     p.set_defaults(fn=_cmd_identify)
 
     return parser

@@ -548,6 +548,8 @@ def test_identify_bounds_checked_before_sampling(capsys, monkeypatch):
         ("identify", "-n", "1", "r", "--M", over_m, "--x0", "1"),
         ("identify", "-n", "3", "r", "--kmax", over_k),
         ("identify", "-n", "1", "r", "--kmax", over_k, "--x0", "1"),
+        ("identify", "-n", "1", "r", "--kmax", "-1"),
+        ("identify", "-n", "1", "r", "--kmax", "-1", "--x0", "1"),
     ):
         code, payload = invoke_json(capsys, *argv)
         assert code == 2, argv

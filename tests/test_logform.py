@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import struct
-import time
 from unittest import mock
 
 import numpy as np
@@ -491,15 +490,24 @@ def test_degree_grouping_matches_scan(monomials):
 
 
 def test_degree_grouping_is_linear():
-    def best(m):
-        tree = parse(" + ".join(f"r^{i}" for i in range(m)), 1)
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            canonicalize(tree, 1)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def comparisons(m):
+        # degrees 3/4 of the tolerance apart: each has groups in the cells next
+        # to it, and every other one starts a group
+        step = 0.75 * logform.DEGREE_TOLERANCE
+        tree = parse(" + ".join(f"r^{i * step!r}" for i in range(m)), 1)
+        calls = []
 
-    # m distinct degrees: 4x the terms takes about 4x the time, where a scan
-    # over the groups took about 16x
-    assert best(4000) / best(1000) < 8.0
+        def counting_abs(z):
+            calls.append(z)
+            return abs(z)
+
+        with mock.patch.object(logform, "abs", counting_abs, create=True):
+            got = canonicalize(tree, 1)
+        assert len(got.forms) == (m + 1) // 2
+        return len(calls)
+
+    # 4x the terms makes about 4x the abs calls, where a scan over the groups
+    # made about 16x
+    few, many = comparisons(1000), comparisons(4000)
+    assert few > 1000
+    assert many <= 4.5 * few

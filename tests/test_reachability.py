@@ -78,13 +78,16 @@ INVOCATIONS = [
 
 
 def defined_functions():
-    """(file, qualified name) of every function and method in the package."""
-    found = set()
+    """(file, qualified name) -> first line of every function and method in
+    the package; for a decorated one, the first decorator's line, as in its
+    code object's co_firstlineno."""
+    found = {}
 
     def walk(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.add((path.name, prefix + child.name))
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path.name, prefix + child.name)] = first
                 walk(child, path, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, f"{prefix}{child.name}.")
@@ -106,7 +109,7 @@ def test_every_function_is_reached_by_a_verb(capsys):
     def record(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(str(PACKAGE)):
-            called.add((Path(code.co_filename).name, code.co_qualname))
+            called.add((Path(code.co_filename).name, code.co_firstlineno, code.co_name))
 
     # the memoized functions run again, under the profiler
     cli.build_parser.cache_clear()
@@ -121,5 +124,7 @@ def test_every_function_is_reached_by_a_verb(capsys):
     capsys.readouterr()
     assert codes == [code for _, code in runs]
     functions = defined_functions()
-    assert set(ALLOWED) <= functions, "an allowed function no longer exists"
-    assert sorted(functions - called - set(ALLOWED)) == []
+    assert set(ALLOWED) <= set(functions), "an allowed function no longer exists"
+    reached = {(path, name) for (path, name), line in functions.items()
+               if (path, line, name.rpartition(".")[2]) in called}
+    assert sorted(set(functions) - reached - set(ALLOWED)) == []
